@@ -12,6 +12,7 @@ per-instant schedule lambda_k > 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,6 +37,26 @@ def _frozen_array(values, dtype=np.float64) -> Array:
     out = np.array(values, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
+
+
+# The solvers square the smoothness weights; beyond this value the square overflows.
+_LAMBDA_MAX = math.sqrt(sys.float_info.max)
+
+
+def _first_nonfinite(values: Array):
+    """Index tuple of the first non-finite entry of ``values``, or None."""
+    bad = ~np.isfinite(values)
+    return np.unravel_index(bad.argmax(), bad.shape) if bad.any() else None
+
+
+def _check_weight(value) -> None:
+    if value is None or not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"smoothness weight must be positive, got {value}")
+    if value > _LAMBDA_MAX:
+        raise ValueError(
+            f"smoothness weight {value} is too large: its square overflows "
+            f"(the limit is {_LAMBDA_MAX:.6g})"
+        )
 
 
 def _coerce_rows(values, width: int, name: str, traj: int) -> Array:
@@ -108,6 +129,12 @@ class TrajectoryDataset:
                     f"trajectory {ell}: inputs have shape {tr.inputs.shape}, "
                     f"expected ({self.N}, {self.q})"
                 )
+            for name, values in (("states", tr.states), ("inputs", tr.inputs)):
+                bad = _first_nonfinite(values)
+                if bad is not None:
+                    raise ValueError(
+                        f"trajectory {ell}: {name} at instant {bad[0]} are not finite"
+                    )
 
     @property
     def L(self) -> int:
@@ -181,6 +208,12 @@ class StackedData:
             raise ValueError("stacked data disagree on the number of trajectories")
         if self.Xnext.shape[1] > self.D.shape[2]:
             raise ValueError("state dimension exceeds the regressor width")
+        for name, values, axis in (("regressors", self.D, 1), ("successor states", self.Xnext, 2)):
+            bad = _first_nonfinite(values)
+            if bad is not None:
+                raise ValueError(
+                    f"trajectory {bad[axis]}: {name} at instant {bad[0]} are not finite"
+                )
 
     @property
     def N(self) -> int:
@@ -271,7 +304,10 @@ class LtvModel:
 
 @dataclass(frozen=True)
 class LambdaSchedule:
-    """Smoothness weights lambda_k > 0 for instants k = 1 .. N-1.
+    """Smoothness weights 0 < lambda_k <= sqrt(float max) for k = 1 .. N-1.
+
+    The upper bound, about 1.34e154, is the largest weight whose square is
+    finite; the closed-form solver squares the weights.
 
     Three variants: a single scalar applied uniformly, a zoned piecewise
     constant schedule given as (start_instant, value) breakpoints with the
@@ -285,8 +321,7 @@ class LambdaSchedule:
 
     def __post_init__(self):
         if self.kind == "scalar":
-            if self.value is None or not math.isfinite(self.value) or self.value <= 0.0:
-                raise ValueError(f"smoothness weight must be positive, got {self.value}")
+            _check_weight(self.value)
         elif self.kind == "zoned":
             if not self.zones:
                 raise ValueError("zoned schedule needs at least one breakpoint")
@@ -298,8 +333,7 @@ class LambdaSchedule:
                 if kb <= ka:
                     raise ValueError("zoned schedule breakpoints must be strictly increasing")
             for _, v in zones:
-                if not math.isfinite(v) or v <= 0.0:
-                    raise ValueError(f"smoothness weight must be positive, got {v}")
+                _check_weight(v)
         elif self.kind == "per_instant":
             vals = _frozen_array(self.values)
             object.__setattr__(self, "values", vals)
@@ -307,6 +341,8 @@ class LambdaSchedule:
                 raise ValueError("per-instant schedule must be a nonempty vector")
             if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
                 raise ValueError("smoothness weights must all be positive")
+            if np.any(vals > _LAMBDA_MAX):
+                _check_weight(float(vals.max()))
         else:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 

@@ -5,9 +5,10 @@ equations form a symmetric block-tridiagonal system: diagonal blocks
 S_kk = D(k)^T D(k) + (lambda stencil) I, off-diagonal blocks -lambda_k I,
 and right-hand sides Theta_k = D(k)^T Xnext(k)^T.  Three routes solve it:
 
-* ``cosmic_solve``: closed-form block LU, one forward and one backward
-  pass over the tridiagonal structure, optionally preconditioned by the
-  diagonal block inverses.
+* ``cosmic_solve``: closed-form block elimination by odd-even cyclic
+  reduction, floor(log2 N) + 1 levels of batched block operations and as
+  many batched back-substitution levels; optionally a per-instant block
+  LU sweep preconditioned by the diagonal block inverses.
 * ``sbcd_solve``: stochastic block coordinate descent with exact block
   minimization and incremental gradient bookkeeping.
 * ``oracle_solve``: assembles the full dense normal matrix and solves it
@@ -43,7 +44,9 @@ __all__ = [
     "oracle_solve",
 ]
 
-_COND_LIMIT = 1.0 / np.finfo(np.float64).eps
+# A Cholesky diagonal whose largest-to-smallest ratio r has r^2 >= 1/eps marks
+# a numerically singular block; r is compared with sqrt(1/eps) to avoid squaring.
+_RATIO_LIMIT = np.sqrt(1.0 / np.finfo(np.float64).eps)
 
 
 class SolverError(Exception):
@@ -51,7 +54,16 @@ class SolverError(Exception):
 
 
 class SingularBlock(SolverError):
-    """A pivot block of the block-LU recursion is numerically singular."""
+    """A pivot block of the block elimination is numerically singular.
+
+    ``instant`` is the original index of the failing pivot.  Cyclic
+    reduction eliminates instants in odd-even order: level 0 factors the
+    even instants 0, 2, 4, ..., level l the instants k with
+    k + 1 divisible by 2^l but not by 2^(l+1); the pivots of one level are
+    checked together and the smallest failing instant of the first failing
+    level is reported.  The preconditioned sweep and SBCD report the first
+    failing instant in time order.
+    """
 
     def __init__(self, instant: int):
         self.instant = instant
@@ -92,7 +104,7 @@ class SolveOptions:
     """Knobs shared by the closed-form solver entry points.
 
     precondition
-        "off" runs the plain scalar-coupling recursion, "on" rescales every
+        "off" runs the plain cyclic reduction, "on" rescales every
         block row by the inverse of its diagonal block first, "auto" turns
         preconditioning on when any diagonal block has a condition number
         estimate above ``cond_trigger``.
@@ -100,7 +112,7 @@ class SolveOptions:
         When true, the report's multiply counts follow the per-step
         textbook charges of the closed-form recursion (one block inversion
         plus fixed matrix products per instant) instead of counting the
-        multiplies of the factorization-based implementation.
+        multiplies of the batched operations the solver performs.
     """
 
     precondition: str = "off"
@@ -149,7 +161,8 @@ class _Counter:
 
     In measured mode the charges follow standard dense linear algebra
     formulas (Cholesky n^3/6 + n^2, LU n^3/3 + n^2, factored solve n^2 per
-    column, matrix product full size), so the count is a deterministic
+    column, inverse as LU plus n solved columns, matrix product full size,
+    scalar times matrix one per entry), so the count is a deterministic
     function of the problem shapes.  In accounting mode the per-phase
     totals are set wholesale by the closed-form recursion instead.
     """
@@ -215,19 +228,45 @@ def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     return TridiagonalSystem(skk=skk, lam=lam, theta=theta)
 
 
+def _unstable(d: Array) -> Array:
+    """Whether Cholesky diagonals ``d`` (last axis) are non-finite or too spread."""
+    ratio = d.max(axis=-1) / np.maximum(d.min(axis=-1), np.finfo(np.float64).tiny)
+    return ~(np.isfinite(d).all(axis=-1) & (ratio < _RATIO_LIMIT))
+
+
 def _factor_spd(block: Array, instant: int):
     """Cholesky factor of an SPD block, or SingularBlock on failure."""
     try:
         fac = cho_factor(block, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise SingularBlock(instant) from None
-    d = np.abs(np.diag(fac[0]))
-    if not np.all(np.isfinite(d)):
-        raise SingularBlock(instant)
-    ratio = d.max() / max(d.min(), np.finfo(np.float64).tiny)
-    if ratio * ratio >= _COND_LIMIT:
+    if _unstable(np.abs(np.diag(fac[0]))):
         raise SingularBlock(instant)
     return fac
+
+
+def _cholesky_diagonals(s: Array) -> Array:
+    """|diag| of the Cholesky factor of every block of ``s``, NaN where it fails.
+
+    One batched factorization; only when it fails are the blocks factored
+    one at a time to find which.
+    """
+    try:
+        return np.abs(np.diagonal(np.linalg.cholesky(s), axis1=-2, axis2=-1))
+    except np.linalg.LinAlgError:
+        if s.ndim == 2:
+            return np.full(s.shape[-1], np.nan)
+        return np.stack([_cholesky_diagonals(block) for block in s])
+
+
+def _invert_pivots(s: Array, instants: Array, counter: _Counter) -> Array:
+    """Inverses of a stack of SPD pivot blocks, checked like ``_factor_spd``."""
+    bad = _unstable(_cholesky_diagonals(s))
+    if bad.any():
+        raise SingularBlock(int(instants[bad.argmax()]))
+    m = s.shape[-1]
+    counter.fwd(len(s) * (_Counter.chol(m) + _Counter.lu(m) + _Counter.solve(m, m)))
+    return np.linalg.inv(s)
 
 
 def _factor_lu(block: Array, instant: int):
@@ -241,35 +280,73 @@ def _factor_lu(block: Array, instant: int):
     return fac
 
 
+def _t(a: Array) -> Array:
+    """Transpose every block of a stack; a 1-D stack of scalars is its own."""
+    return a if a.ndim == 1 else np.swapaxes(a, 1, 2)
+
+
+def _product(a: Array, b: Array, charge) -> Array:
+    """Blockwise products a[i] @ b[i], charged to ``charge``.
+
+    A 1-D factor holds scalar multiples of the identity and multiplies
+    elementwise.
+    """
+    if a.ndim == 1:
+        charge(b.size)
+        return a[:, None, None] * b
+    if b.ndim == 1:
+        charge(a.size)
+        return a * b[:, None, None]
+    charge(a.shape[0] * a.shape[1] * a.shape[2] * b.shape[2])
+    return a @ b
+
+
 def _stencil_passes(system: TridiagonalSystem, counter: _Counter) -> Array:
-    """Closed-form forward/backward block recursion with scalar couplings."""
-    skk, lam, theta = system.skk, system.lam, system.theta
-    n_blocks, m, p = theta.shape
-    eye = np.eye(m)
+    """Odd-even block cyclic reduction of the normal equations.
 
-    factors = []
-    y = np.empty_like(theta)
-    fac = _factor_spd(skk[0], 0)
-    factors.append(fac)
-    y[0] = cho_solve(fac, theta[0], check_finite=False)
-    counter.fwd(_Counter.chol(m) + _Counter.solve(m, p))
-    for k in range(1, n_blocks):
-        lk = lam[k - 1]
-        inv_prev = cho_solve(factors[k - 1], eye, check_finite=False)
-        pivot = skk[k] - (lk * lk) * inv_prev
-        fac = _factor_spd(pivot, k)
-        factors.append(fac)
-        y[k] = cho_solve(fac, theta[k] + lk * y[k - 1], check_finite=False)
-        counter.fwd(
-            _Counter.solve(m, m) + m * m + _Counter.chol(m) + m * p + _Counter.solve(m, p)
-        )
+    A level holds a block-tridiagonal system: diagonal blocks ``s``,
+    right-hand sides ``r`` and couplings ``e`` with block (j, j-1) = e[j-1]
+    and block (j-1, j) = e[j-1]^T.  It inverts the pivots at its even
+    positions in one batched call, eliminates them, and passes the Schur
+    complement on its odd positions to the next level.  The couplings of
+    the first level are the scalars -lambda_k; from the second level on
+    they are dense.  For an SPD system this is Gaussian elimination in a
+    symmetric permutation, so every pivot is SPD.  Back-substitution then
+    recovers the even positions of each level, deepest level first.
+    """
+    s, r, e = system.skk, system.theta, -system.lam
+    instants = np.arange(s.shape[0])
+    levels = []
+    while True:
+        sinv = _invert_pivots(s[0::2], instants[0::2], counter)
+        y = _product(sinv, r[0::2], counter.fwd)
+        levels.append((sinv, e, y))
+        h = s.shape[0] // 2
+        if h == 0:
+            break
+        left, right = e[0::2], e[1::2]  # odd position 2i+1 to its even neighbours 2i, 2i+2
+        hr = right.shape[0]
+        g_left = _product(left, sinv[:h], counter.fwd)
+        g_right = _product(_t(right), sinv[1:], counter.fwd)
+        s_next = s[1::2] - _product(g_left, _t(left), counter.fwd)
+        s_next[:hr] -= _product(g_right, right, counter.fwd)
+        r_next = r[1::2] - _product(left, y[:h], counter.fwd)
+        r_next[:hr] -= _product(_t(right), y[1:], counter.fwd)
+        e = -_product(g_left[1:], right[: h - 1], counter.fwd)
+        s, r, instants = s_next, r_next, instants[1::2]
 
-    c = np.empty_like(theta)
-    c[n_blocks - 1] = y[n_blocks - 1]
-    for k in range(n_blocks - 2, -1, -1):
-        c[k] = y[k] + lam[k] * cho_solve(factors[k], c[k + 1], check_finite=False)
-        counter.bwd(_Counter.solve(m, p) + m * p)
-    return c
+    x = levels.pop()[2]
+    for sinv, e, y in reversed(levels):
+        left, right = e[0::2], e[1::2]
+        hr = right.shape[0]
+        z = np.zeros_like(y)
+        z[: x.shape[0]] = _product(_t(left), x, counter.bwd)
+        z[1 : hr + 1] += _product(right, x[:hr], counter.bwd)
+        out = np.empty((y.shape[0] + x.shape[0],) + y.shape[1:])
+        out[0::2] = y - _product(sinv, z, counter.bwd)
+        out[1::2] = x
+        x = out
+    return x
 
 
 def _preconditioned_passes(system: TridiagonalSystem, counter: _Counter) -> Array:
@@ -340,11 +417,13 @@ def cosmic_solve(data: StackedData, sched: LambdaSchedule,
                  opts: Optional[SolveOptions] = None) -> SolveReport:
     """Solve the regularized fitting problem in closed form.
 
-    A single forward sweep factorizes the block-tridiagonal normal
-    equations, and a single backward sweep recovers the blocks C(k); the
-    report's iteration count is therefore always 1.  Raises SingularBlock
-    when a pivot block is numerically singular, which happens exactly when
-    the data do not sufficiently excite the system.
+    Odd-even block cyclic reduction factorizes the block-tridiagonal
+    normal equations in floor(log2 N) + 1 levels of batched block
+    operations, and as many back-substitution levels recover the blocks
+    C(k); the report's iteration count is therefore always 1.  Raises
+    SingularBlock, naming the original instant of the failing pivot, when
+    a pivot block is numerically singular, which happens when the data do
+    not sufficiently excite the system.
     """
     opts = opts or SolveOptions()
     start = time.perf_counter()
@@ -409,9 +488,7 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
         fac = cho_factor(full, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise SingularSystem() from None
-    d = np.abs(np.diag(fac[0]))
-    ratio = d.max() / max(d.min(), np.finfo(np.float64).tiny)
-    if not np.all(np.isfinite(d)) or ratio * ratio >= _COND_LIMIT:
+    if _unstable(np.abs(np.diag(fac[0]))):
         raise SingularSystem()
     counter.misc(_Counter.chol(size) + _Counter.solve(size, p))
     c = cho_solve(fac, rhs, check_finite=False).reshape(n_blocks, m, p)

@@ -186,6 +186,29 @@ def test_fit_insufficient_data_fails_with_hint(tmp_path, capsys):
     assert _COVARIANCE_HINT == HINT
 
 
+def test_non_finite_data_fails_without_hint(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json", {"smd": {"N": 20}, "L": 4, "seed": 0})
+    data = tmp_path / "data.json"
+    assert main(["generate", "--config", config, "--out", str(data), "--quiet"]) == 0
+    record = json.loads(data.read_text(encoding="utf-8"))
+    record["trajectories"][0]["states"][10][0] = float("nan")
+    bad = write_json(tmp_path / "nan.json", record)
+    for argv in (["fit", "--data", bad, "--lambda", "1e5", "--out", str(tmp_path / "m.json")],
+                 ["check", "--data", bad]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "trajectory 0: states at instant 10 are not finite" in err
+        assert HINT not in err
+
+
+def test_fit_rejects_overflowing_lambda_without_hint(workdir, tmp_path, capsys):
+    code, _, err = run(capsys, "fit", "--data", str(workdir / "data.json"),
+                       "--lambda", "1e160", "--out", str(tmp_path / "m.json"))
+    assert code == 1
+    assert "too large: its square overflows" in err
+    assert HINT not in err
+
+
 # ---------------------------------------------------------------- eval
 
 

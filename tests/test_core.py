@@ -1,9 +1,12 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ltvkit import (LambdaSchedule, LtvModel, TrajectoryDataset, assemble_stacked,
-                    cost, cost_terms, gradient)
+from ltvkit import (LambdaSchedule, LtvModel, StackedData, TrajectoryDataset,
+                    assemble_stacked, cost, cost_terms, gradient)
 
 from _cases import dense_reference_solution, hand_instance, random_dataset
 
@@ -96,6 +99,30 @@ def test_dataset_dimension_bounds():
         TrajectoryDataset.build(1, 0, [([1.0, 2.0], None)])
     with pytest.raises(ValueError, match="at least one trajectory"):
         TrajectoryDataset.build(1, 0, [])
+
+
+def test_dataset_rejects_non_finite_values():
+    states = np.ones((6, 2))
+    states[3, 1] = np.nan
+    with pytest.raises(ValueError, match="trajectory 1: states at instant 3 are not finite"):
+        TrajectoryDataset.build(2, 1, [(np.ones((6, 2)), np.ones((5, 1))),
+                                       (states, np.ones((5, 1)))])
+    inputs = np.ones((5, 1))
+    inputs[4, 0] = np.inf
+    with pytest.raises(ValueError, match="trajectory 0: inputs at instant 4 are not finite"):
+        TrajectoryDataset.build(2, 1, [(np.ones((6, 2)), inputs)])
+
+
+def test_stacked_data_rejects_non_finite_values():
+    d = np.ones((4, 3, 2))
+    d[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="trajectory 1: regressors at instant 2 are not finite"):
+        StackedData(D=d, Xnext=np.ones((4, 1, 3)))
+    xnext = np.ones((4, 1, 3))
+    xnext[3, 0, 2] = -np.inf
+    with pytest.raises(ValueError,
+                       match="trajectory 2: successor states at instant 3 are not finite"):
+        StackedData(D=np.ones((4, 3, 2)), Xnext=xnext)
 
 
 def test_dataset_json_round_trip():
@@ -199,6 +226,19 @@ def test_schedule_per_instant():
     out = sched.materialize(4)
     out[0] = 99.0
     assert sched.values[0] == 1.0
+
+
+def test_schedule_rejects_weights_whose_square_overflows():
+    top = math.sqrt(sys.float_info.max)
+    assert math.isfinite(top * top)
+    builders = (LambdaSchedule.scalar,
+                lambda v: LambdaSchedule.zoned([(1, 1.0), (2, v)]),
+                lambda v: LambdaSchedule.per_instant([1.0, v]))
+    for build in builders:
+        for bad in (1e160, math.nextafter(top, math.inf)):
+            with pytest.raises(ValueError, match="too large: its square overflows"):
+                build(bad)
+        assert build(top).materialize(3).max() == top
 
 
 def test_schedule_json_round_trip():

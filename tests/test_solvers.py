@@ -1,11 +1,16 @@
+import math
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ltvkit import (LambdaSchedule, LtvModel, SingularBlock, SingularSystem,
-                    SizeGuard, SolveOptions, TrajectoryDataset, assemble_stacked,
-                    build_system, cosmic_solve, cosmic_solve_preconditioned, cost,
-                    oracle_solve, predicted_multiply_count, sbcd_solve)
+from ltvkit import (LambdaSchedule, LtvModel, NoiseConfig, SingularBlock,
+                    SingularSystem, SizeGuard, SmdConfig, SolveOptions, TrajectoryDataset,
+                    assemble_stacked, build_system, cosmic_solve,
+                    cosmic_solve_preconditioned, cost, generate_dataset, oracle_solve,
+                    predicted_multiply_count, sbcd_solve, smd_model)
 
 from _cases import (dense_normal_matrix, dense_reference_solution, hand_instance,
                     ill_scaled_instance, random_dataset, random_instance)
@@ -126,26 +131,41 @@ def test_cosmic_matches_oracle_route():
         assert rc.final_cost == pytest.approx(ro.final_cost, rel=1e-9)
 
 
-def test_forward_pivots_stay_positive_definite():
-    rng = np.random.default_rng(17)
-    data, sched = random_instance(rng, n_lo=5, n_hi=12)
-    system = build_system(data, sched)
+def sequential_sweep(system):
+    """Reference block LU in time order: pivots and solution, one instant at a time."""
     lam = system.lam
     pivots = [system.skk[0].copy()]
     y = [np.linalg.solve(pivots[0], system.theta[0])]
-    for k in range(1, data.N):
+    for k in range(1, system.skk.shape[0]):
         pk = system.skk[k] - lam[k - 1] ** 2 * np.linalg.inv(pivots[k - 1])
         pivots.append(pk)
         y.append(np.linalg.solve(pk, system.theta[k] + lam[k - 1] * y[k - 1]))
-    c = [None] * data.N
+    c = [None] * len(y)
     c[-1] = y[-1]
-    for k in range(data.N - 2, -1, -1):
+    for k in range(len(y) - 2, -1, -1):
         c[k] = y[k] + lam[k] * np.linalg.solve(pivots[k], c[k + 1])
+    return pivots, np.stack(c)
+
+
+def test_forward_pivots_stay_positive_definite():
+    rng = np.random.default_rng(17)
+    data, sched = random_instance(rng, n_lo=5, n_hi=12)
+    pivots, c = sequential_sweep(build_system(data, sched))
     for pk in pivots:
         w = np.linalg.eigvalsh(0.5 * (pk + pk.T))
         assert w[0] > 0.0
     report = cosmic_solve(data, sched)
-    assert scaled_gap(report.model.C, np.stack(c)) <= 1e-9
+    assert scaled_gap(report.model.C, c) <= 1e-9
+
+
+def test_cyclic_reduction_matches_sequential_sweep_on_smd():
+    data = assemble_stacked(generate_dataset(smd_model(SmdConfig(N=2500)), 6,
+                                             noise=NoiseConfig(sigma=0.06, seed=1), seed=0))
+    for lam in (1e-3, 1e5):
+        sched = LambdaSchedule.scalar(lam)
+        _, c = sequential_sweep(build_system(data, sched))
+        gap = np.linalg.norm(cosmic_solve(data, sched).model.C - c) / np.linalg.norm(c)
+        assert gap <= 1e-12
 
 
 def test_singular_instances_are_reported():
@@ -157,6 +177,42 @@ def test_singular_instances_are_reported():
         cosmic_solve_preconditioned(data, sched)
     with pytest.raises(SingularSystem):
         oracle_solve(data, sched)
+
+
+def test_singular_block_names_the_original_instant():
+    """Zero data leave the lambda-weighted chain Laplacian, singular only in
+    its last pivot.  Cyclic reduction eliminates that pivot last: at the
+    highest power of two not above N, minus one."""
+    for n, instant in ((2, 1), (3, 1), (4, 3), (5, 3), (7, 3), (8, 7), (9, 7), (17, 15)):
+        ds = TrajectoryDataset.build(1, 0, [(np.zeros(n + 1), None)])
+        with pytest.raises(SingularBlock) as info:
+            cosmic_solve(assemble_stacked(ds), LambdaSchedule.scalar(1.0))
+        assert info.value.instant == instant
+    # One rank-one sample at 1e9 makes instant 2's block singular beside
+    # lambda = 1e-3, while the other first-level pivots (0 and 4) are fine.
+    states = np.ones((6, 2))
+    states[2] = 1e9
+    ds = TrajectoryDataset.build(2, 0, [(states, None)])
+    with pytest.raises(SingularBlock) as info:
+        cosmic_solve(assemble_stacked(ds), LambdaSchedule.scalar(1e-3))
+    assert info.value.instant == 2
+
+
+def test_largest_accepted_lambda_does_not_overflow():
+    """The schedule bound keeps lambda^2 finite, so no overflow warning.
+
+    At such weights the data's Gram diagonal lies far below lambda * eps and
+    is lost, so the last pivot's diagonal cancels and the solve may end in
+    SingularBlock; it must not end in a floating-point warning.
+    """
+    data = assemble_stacked(generate_dataset(smd_model(SmdConfig(N=100)), 6, noise=None, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            report = cosmic_solve(data, LambdaSchedule.scalar(math.sqrt(sys.float_info.max)))
+        except SingularBlock:
+            return
+    assert np.all(np.isfinite(report.model.C))
 
 
 def test_oracle_size_guard():
