@@ -215,18 +215,43 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _lambda_hint(dataset, data, sched) -> str | None:
+    """A hint naming lambda when it, not the data, made the fit singular.
+
+    That is when the data are sufficient but lambda * eps exceeds every
+    diagonal entry of the per-instant Gram blocks D(k)^T D(k): forming
+    the pivots D(k)^T D(k) + (lambda_{k-1} + lambda_k) I then rounds the
+    data away.  None otherwise.
+    """
+    eps = np.finfo(np.float64).eps
+    lam = float(sched.materialize(data.N).max())
+    gram = float(np.max(np.sum(data.D * data.D, axis=1)))
+    if lam * eps < gram or not covariance_sufficiency(dataset).sufficient:
+        return None
+    return (f"lambda = {lam:g} swamps the data: lambda * eps = {lam * eps:.3g} exceeds "
+            f"the largest Gram diagonal entry {gram:.3g} - lower lambda")
+
+
 def cmd_fit(args) -> int:
     dataset = _load_dataset(args.data)
     data = assemble_stacked(dataset)
     sched = _schedule_from_args(args)
-    if args.solver == "cosmic":
-        report = cosmic_solve(data, sched, SolveOptions(precondition=args.precondition,
-                                                        accounting=args.accounting))
-    elif args.solver == "sbcd":
-        report = sbcd_solve(data, sched, epsilon=args.epsilon,
-                            max_iters=args.max_iters, seed=args.seed)
-    else:
-        report = oracle_solve(data, sched, dense_limit=args.dense_limit)
+    try:
+        if args.solver == "cosmic":
+            report = cosmic_solve(data, sched, SolveOptions(precondition=args.precondition,
+                                                            accounting=args.accounting))
+        elif args.solver == "sbcd":
+            report = sbcd_solve(data, sched, epsilon=args.epsilon,
+                                max_iters=args.max_iters, seed=args.seed)
+        else:
+            report = oracle_solve(data, sched, dense_limit=args.dense_limit)
+    except (SingularBlock, SingularSystem) as exc:
+        hint = _lambda_hint(dataset, data, sched)
+        if hint is None:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        print(f"hint: {hint}", file=sys.stderr)
+        return 2
     _write_json(args.out, report.model.to_dict())
     _emit(args, report.to_dict())
     return 0

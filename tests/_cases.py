@@ -1,9 +1,10 @@
 """Shared builders for randomized and hand-crafted test instances."""
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
-from ltvkit import LambdaSchedule, TrajectoryDataset, assemble_stacked
+from ltvkit import (LambdaSchedule, LqrWeights, LtvModel, SingularInputCost, TrajectoryDataset,
+                    assemble_stacked)
 
 
 def random_dataset(rng, p, q, n, ell):
@@ -21,6 +22,56 @@ def random_instance(rng, n_lo=3, n_hi=50):
     dataset = random_dataset(rng, p, q, n, ell)
     lam = float(rng.uniform(1e-3, 1e3))
     return assemble_stacked(dataset), LambdaSchedule.scalar(lam)
+
+
+def drifting_plant(rng, p, q, n, spread=0.85):
+    """Random LTV plant A(k) = A0 + sin(k/7) A1, B(k) = B0 + 0.2 cos(k/7) B1.
+
+    A0 has spectral norm ``spread`` and A1 0.1.
+    """
+    a0, a1 = rng.normal(size=(2, p, p))
+    a0 *= spread / np.linalg.norm(a0, 2)
+    a1 *= 0.1 / np.linalg.norm(a1, 2)
+    b0, b1 = rng.normal(size=(2, p, q)) / np.sqrt(p)
+    phase = np.arange(n) / 7.0
+    a = a0 + np.sin(phase)[:, None, None] * a1
+    b = b0 + 0.2 * np.cos(phase)[:, None, None] * b1
+    return LtvModel.from_blocks(a, b)
+
+
+def riccati_loop(model, weights=None):
+    """Reference backward Riccati recursion, one instant at a time.
+
+    P(N) is the terminal cost; each step factors S = R + B^T P(k+1) B by
+    Cholesky, raising SingularInputCost(k) where that fails, and sets
+    K(k) = S^{-1} B^T P(k+1) A and P(k) = Q + A^T P(k+1) (A - B K(k)),
+    symmetrized.  Returns (K, P).
+    """
+    weights = weights or LqrWeights()
+    p, q, n = model.p, model.q, model.N
+    state_cost, input_cost = weights.state_cost(p), weights.input_cost(q)
+    ric = np.empty((n + 1, p, p))
+    gains = np.zeros((n, q, p))
+    ric[n] = weights.terminal_cost(p)
+    for k in range(n - 1, -1, -1):
+        a, b = model.A(k), model.B(k)
+        if q > 0:
+            s = input_cost + b.T @ ric[k + 1] @ b
+            try:
+                factor = cho_factor(0.5 * (s + s.T), lower=True)
+            except np.linalg.LinAlgError:
+                raise SingularInputCost(k) from None
+            gains[k] = cho_solve(factor, b.T @ ric[k + 1] @ a)
+        nxt = state_cost + a.T @ ric[k + 1] @ (a - b @ gains[k])
+        ric[k] = 0.5 * (nxt + nxt.T)
+    return gains, ric
+
+
+def relative_gap(x, ref):
+    """Largest per-instant relative Frobenius distance of a block stack from ``ref``."""
+    err = np.linalg.norm(x - ref, axis=(1, 2))
+    scale = np.linalg.norm(ref, axis=(1, 2))
+    return float(np.max(err / np.maximum(scale, np.finfo(np.float64).tiny)))
 
 
 def hand_instance(lam=1.0):

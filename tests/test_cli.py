@@ -186,6 +186,20 @@ def test_fit_insufficient_data_fails_with_hint(tmp_path, capsys):
     assert _COVARIANCE_HINT == HINT
 
 
+def test_fit_at_huge_lambda_hints_to_lower_it(tmp_path, capsys):
+    # The data are sufficient, but lambda * eps exceeds their Gram diagonal,
+    # so forming the pivots rounds the data away: lambda is at fault.
+    config = write_json(tmp_path / "config.json", {"smd": {"N": 100}, "seed": 0})
+    data = tmp_path / "data.json"
+    assert main(["generate", "--config", config, "--out", str(data), "--quiet"]) == 0
+    code, _, err = run(capsys, "fit", "--data", str(data), "--lambda", "1e18",
+                       "--out", str(tmp_path / "m.json"))
+    assert code == 2
+    assert "hint: lambda = 1e+18 swamps the data" in err
+    assert "lower lambda" in err
+    assert HINT not in err
+
+
 def test_non_finite_data_fails_without_hint(tmp_path, capsys):
     config = write_json(tmp_path / "config.json", {"smd": {"N": 20}, "L": 4, "seed": 0})
     data = tmp_path / "data.json"

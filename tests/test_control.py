@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,8 @@ from ltvkit import (GainSchedule, LqrWeights, LtvModel, NoiseConfig,
                     SingularInputCost, SmdConfig, closed_loop_rollout,
                     lqr_synthesize, position_coordinates, simulate, smd_model,
                     tracking_stats)
+
+from _cases import drifting_plant, relative_gap, riccati_loop
 
 
 def double_integrator(n):
@@ -104,6 +108,88 @@ def test_negative_terminal_cost_is_rejected():
         with pytest.raises(SingularInputCost) as info:
             lqr_synthesize(model, LqrWeights(terminal=-10.0 * np.eye(q)))
         assert info.value.instant == 2, f"q={q}"
+
+
+def assert_matches_loop(model, weights=None):
+    gains = lqr_synthesize(model, weights)
+    k_ref, p_ref = riccati_loop(model, weights)
+    assert gains.K.shape == k_ref.shape and gains.P.shape == p_ref.shape
+    assert relative_gap(gains.K, k_ref) <= 1e-12, f"N={model.N}"
+    assert relative_gap(gains.P, p_ref) <= 1e-12, f"N={model.N}"
+
+
+def test_riccati_scan_matches_loop_on_smd():
+    assert_matches_loop(smd_model(SmdConfig(N=2500)))
+
+
+def test_riccati_scan_matches_loop_on_wide_drifting_plant():
+    assert_matches_loop(drifting_plant(np.random.default_rng(8), 8, 4, 2000))
+
+
+def test_riccati_scan_matches_loop_at_every_level_shape():
+    # The scan pairs and carries elements differently at every horizon.
+    rng = np.random.default_rng(9)
+    edges = {n for k in range(2, 9) for n in (2**k - 1, 2**k, 2**k + 1)}
+    for n in sorted(set(range(1, 10)) | edges):
+        assert_matches_loop(drifting_plant(rng, 3, 2, n), LqrWeights(q_x=2.0, q_v=0.5, r=0.1))
+
+
+def test_riccati_scan_without_inputs():
+    model = drifting_plant(np.random.default_rng(10), 3, 0, 33)
+    gains = lqr_synthesize(model)
+    assert gains.K.shape == (33, 0, 3)
+    assert_matches_loop(model)
+
+
+def test_singular_input_cost_names_the_instant_where_the_recursion_stops():
+    # Terminal -0.9e-3 keeps S(4) = 1e-4 positive but drives P(4) negative,
+    # so the recursion stops at instant 3, below N-1; the scan's values
+    # below that are meaningless.  Terminal -1e-3 makes S(4) exactly zero,
+    # and with it the scan's combine block I + C(4) P(5).
+    for a, terminal, instant in ((20.0, -0.9e-3, 3), (1.0, -1e-3, 4)):
+        model = LtvModel.constant([[a]], [[1.0]], 5)
+        weights = LqrWeights(q_x=1.0, q_v=1.0, r=1e-3, terminal=np.array([[terminal]]))
+        for synthesize in (lqr_synthesize, riccati_loop):
+            with pytest.raises(SingularInputCost) as info:
+                synthesize(model, weights)
+            assert info.value.instant == instant, f"A={a}, {synthesize.__name__}"
+
+
+def test_non_finite_model_or_terminal_cost_is_rejected():
+    model = smd_model(SmdConfig(N=10))
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in (0, 2):  # an entry of A(4), then of B(4)
+            c = model.C.copy()
+            c[4, row, 1 if row == 0 else 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                lqr_synthesize(LtvModel(p=2, q=1, N=10, C=c))
+        terminal = np.eye(2)
+        terminal[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            lqr_synthesize(model, LqrWeights(terminal=terminal))
+
+
+def count_calls(fn, *args):
+    """Python and C calls made inside ``fn``, counted with ``sys.setprofile``."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_riccati_call_count_grows_logarithmically():
+    # A loop over instants would make 16 times the calls at 16 times the horizon.
+    short, long = (count_calls(lqr_synthesize, smd_model(SmdConfig(N=n))) for n in (256, 4096))
+    assert long < 2 * short
 
 
 def test_gain_schedule_serialization():
