@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import LtvModel
+from .sim import _step
 from .solvers import _cholesky_diagonals
 
 Array = np.ndarray
@@ -275,7 +276,7 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
     for k in range(n):
         measured = states[k] if meas_noise is None else states[k] + meas_noise[k]
         inputs[k] = -gains.K[k] @ (measured - ref[k])
-        states[k + 1] = a_seq[k] @ states[k] + b_seq[k] @ inputs[k]
+        states[k + 1 : k + 2] = _step(a_seq[k], b_seq[k], states[k : k + 1], inputs[k : k + 1])
     pos = position_coordinates(p, position_mask)
     errors = np.linalg.norm(states[:, pos] - ref[:, pos], axis=1)
     return RolloutResult(states=states, inputs=inputs, tracking_errors=errors)

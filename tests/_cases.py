@@ -1,10 +1,13 @@
 """Shared builders for randomized and hand-crafted test instances."""
 
-import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
+import math
 
-from ltvkit import (LambdaSchedule, LqrWeights, LtvModel, SingularInputCost, TrajectoryDataset,
-                    assemble_stacked)
+import numpy as np
+from scipy.linalg import block_diag, cho_factor, cho_solve, expm
+
+from ltvkit import (ExcitationSpec, LambdaSchedule, LqrWeights, LtvModel, SingularInputCost,
+                    TrajectoryDataset, assemble_stacked)
+from ltvkit.sim import _draw_inputs
 
 
 def random_dataset(rng, p, q, n, ell):
@@ -65,6 +68,52 @@ def riccati_loop(model, weights=None):
         nxt = state_cost + a.T @ ric[k + 1] @ (a - b @ gains[k])
         ric[k] = 0.5 * (nxt + nxt.T)
     return gains, ric
+
+
+def smd_model_loop(config):
+    """Reference discretization: one ``expm`` of the frozen augmented block per instant."""
+    a_seq = np.empty((config.N, 2, 2))
+    b_seq = np.empty((config.N, 2, 1))
+    for k in range(config.N):
+        t = k * config.dt if config.ltv else 0.0
+        kt = config.k0 * (1.0 + config.alpha_k * math.sin(config.omega * t))
+        ct = config.c0 * (1.0 + config.alpha_c * math.sin(config.omega * t))
+        aug = np.zeros((3, 3))
+        aug[0, 1] = 1.0
+        aug[1, 0] = -kt / config.mass
+        aug[1, 1] = -ct / config.mass
+        aug[1, 2] = 1.0 / config.mass
+        phi = expm(aug * config.dt)
+        a_seq[k] = phi[:2, :2]
+        b_seq[k] = phi[:2, 2:]
+    return LtvModel.from_blocks(a_seq, b_seq)
+
+
+def generate_dataset_loop(model, L, excitation=None, noise=None, seed=0):
+    """Reference generation: each trajectory drawn, then stepped on its own.
+
+    Same streams as ``generate_dataset``: x0 and inputs from (seed, l, 0),
+    noise from (noise.seed, l, 1); x(k+1) = A(k) x(k) + B(k) u(k) one
+    trajectory and one instant at a time.
+    """
+    excitation = excitation or ExcitationSpec()
+    pairs = []
+    for ell in range(L):
+        rng = np.random.default_rng([seed, ell, 0])
+        if excitation.x0 == "uniform":
+            x0 = rng.uniform(-excitation.x0_scale, excitation.x0_scale, size=model.p)
+        else:
+            x0 = rng.normal(0.0, excitation.x0_scale, size=model.p)
+        u = _draw_inputs(excitation, rng, model.N, model.q)
+        states = np.empty((model.N + 1, model.p))
+        states[0] = x0
+        for k in range(model.N):
+            states[k + 1] = model.A(k) @ states[k] + model.B(k) @ u[k]
+        if noise is not None and noise.sigma > 0.0:
+            noise_rng = np.random.default_rng([noise.seed, ell, 1])
+            states = states + noise_rng.normal(0.0, noise.sigma, size=states.shape)
+        pairs.append((states, u))
+    return TrajectoryDataset.build(model.p, model.q, pairs)
 
 
 def relative_gap(x, ref):

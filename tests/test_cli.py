@@ -87,6 +87,33 @@ def test_generate_rejects_unknown_config_keys(tmp_path, capsys):
     assert "unknown keys" in err
 
 
+def test_generate_rejects_bad_excitation(tmp_path, capsys):
+    cases = [({"x0_scale": -1.0}, "x0_scale must be a finite nonnegative number"),
+             ({"input_scale": -0.5}, "input_scale must be a finite nonnegative number"),
+             ({"inputs": "sinusoids", "frequencies": []}, "frequencies must list at least one")]
+    for excitation, message in cases:
+        config = write_json(tmp_path / "config.json", {"smd": {"N": 20}, "excitation": excitation})
+        code, _, err = run(capsys, "generate", "--config", config,
+                           "--out", str(tmp_path / "data.json"))
+        assert code == 1
+        assert message in err
+        assert not (tmp_path / "data.json").exists()
+
+
+def test_generate_rejects_bad_plant_config(tmp_path, capsys):
+    cases = [({"N": 20, "omega": float("nan")}, "omega must be a finite number"),
+             ({"N": 20, "dt": float("inf")}, "dt must be a finite number"),
+             ({"N": 10.5}, "horizon N must be an integer")]
+    for smd, message in cases:
+        config = write_json(tmp_path / "config.json", {"smd": smd})
+        code, _, err = run(capsys, "generate", "--config", config,
+                           "--out", str(tmp_path / "data.json"))
+        assert code == 1
+        assert message in err
+        assert "not finite" not in err
+        assert not (tmp_path / "data.json").exists()
+
+
 # ---------------------------------------------------------------- check
 
 

@@ -242,6 +242,33 @@ def test_self_consistent_reference_is_tracked_exactly():
     assert np.array_equal(result.tracking_errors, np.zeros(41))
 
 
+def test_zero_gains_reproduce_open_loop_on_wide_plant():
+    plant = drifting_plant(np.random.default_rng(4), 8, 4, 300)
+    gains = GainSchedule(K=np.zeros((300, 4, 8)))
+    x0 = np.random.default_rng(5).normal(size=8)
+    result = closed_loop_rollout(plant, gains, x0=x0)
+    assert np.array_equal(result.inputs, np.zeros((300, 4)))
+    assert_allclose(result.states, simulate(plant, x0, np.zeros((300, 4))),
+                    rtol=0, atol=0)
+
+
+def test_self_consistent_reference_is_tracked_exactly_on_wide_plant():
+    plant = drifting_plant(np.random.default_rng(6), 8, 4, 300)
+    ref = simulate(plant, np.random.default_rng(7).normal(size=8), np.zeros((300, 4)))
+    result = closed_loop_rollout(plant, lqr_synthesize(plant), reference=ref)
+    assert_allclose(result.states, ref, rtol=0, atol=0)
+    assert np.array_equal(result.tracking_errors, np.zeros(301))
+
+
+def test_rollout_replays_through_simulate_exactly():
+    plant = drifting_plant(np.random.default_rng(8), 8, 4, 300)
+    result = closed_loop_rollout(plant, lqr_synthesize(plant), x0=np.ones(8),
+                                 noise=NoiseConfig(sigma=0.05, seed=2))
+    assert np.any(result.inputs != 0.0)
+    assert_allclose(simulate(plant, np.ones(8), result.inputs), result.states,
+                    rtol=0, atol=0)
+
+
 def test_measurement_noise_perturbs_inputs_deterministically():
     plant = smd_model(SmdConfig(N=20))
     gains = lqr_synthesize(plant)

@@ -7,6 +7,8 @@ from ltvkit import (ExcitationSpec, LambdaSchedule, LtvModel, NoiseConfig,
                     cosmic_solve, covariance_sufficiency, estimation_error,
                     generate_dataset, simulate, smd_model)
 
+from _cases import drifting_plant, generate_dataset_loop, smd_model_loop
+
 
 def fit(dataset: TrajectoryDataset, lam: float) -> LtvModel:
     return cosmic_solve(assemble_stacked(dataset), LambdaSchedule.scalar(lam)).model
@@ -78,6 +80,21 @@ def test_plant_config_validation():
     assert SmdConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_plant_config_rejects_non_finite_constants_and_fractional_horizon():
+    for name in ("mass", "k0", "c0", "alpha_k", "alpha_c", "omega", "dt"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+                SmdConfig(**{name: bad})
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            SmdConfig(**{name: "1.0"})
+    for bad in (10.5, 10.0, "10", True):
+        with pytest.raises(ValueError, match="horizon N must be an integer"):
+            SmdConfig(N=bad)
+    with pytest.raises(ValueError, match="omega must be a finite number"):
+        SmdConfig.from_dict({"N": 20, "omega": float("nan")})
+    assert SmdConfig(N=np.int64(12), omega=np.float64(0.25)).N == 12
+
+
 def test_excitation_and_noise_validation():
     with pytest.raises(ValueError, match="x0 law"):
         ExcitationSpec(x0="fixed")
@@ -89,6 +106,25 @@ def test_excitation_and_noise_validation():
     assert ExcitationSpec.from_dict(spec.to_dict()) == spec
     with pytest.raises(ValueError, match="noise level"):
         NoiseConfig(sigma=-0.1)
+
+
+def test_excitation_rejects_bad_scales_and_empty_frequencies():
+    for name in ("x0_scale", "input_scale"):
+        for bad in (-1.0, -1e-300, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite nonnegative number"):
+                ExcitationSpec(**{name: bad})
+        assert getattr(ExcitationSpec(**{name: 0.0}), name) == 0.0
+    with pytest.raises(ValueError, match="frequencies must list at least one"):
+        ExcitationSpec(inputs="sinusoids", frequencies=())
+    with pytest.raises(ValueError, match="frequencies must list at least one"):
+        ExcitationSpec.from_dict({"inputs": "sinusoids", "frequencies": []})
+    assert ExcitationSpec(inputs="white", frequencies=()).frequencies == ()
+
+
+def test_smd_model_matches_per_instant_expm():
+    for ltv in (True, False):
+        config = SmdConfig(N=2500, ltv=ltv)
+        assert np.array_equal(smd_model(config).C, smd_model_loop(config).C)
 
 
 # ---------------------------------------------------------------- simulate
@@ -140,6 +176,34 @@ def test_generation_is_deterministic():
     c = generate_dataset(model, 3, excitation=ExcitationSpec(),
                          noise=NoiseConfig(sigma=0.05, seed=4), seed=10)
     assert not np.array_equal(a.trajectories[0].states, c.trajectories[0].states)
+
+
+def assert_same_dataset(data, ref, rtol=0.0):
+    assert (data.p, data.q, data.N, data.L) == (ref.p, ref.q, ref.N, ref.L)
+    for tr, tr_ref in zip(data.trajectories, ref.trajectories):
+        assert np.array_equal(tr.inputs, tr_ref.inputs)
+        if rtol == 0.0:
+            assert np.array_equal(tr.states, tr_ref.states)
+        else:
+            gap = np.linalg.norm(tr.states - tr_ref.states) / np.linalg.norm(tr_ref.states)
+            assert gap <= rtol
+
+
+def test_generation_matches_per_trajectory_loops_on_smd():
+    model = smd_model(SmdConfig(N=2500))
+    for x0 in ("uniform", "gaussian"):
+        for inputs in ("white", "sinusoids"):
+            excitation = ExcitationSpec(x0=x0, inputs=inputs)
+            for noise in (None, NoiseConfig(sigma=0.06, seed=3)):
+                assert_same_dataset(generate_dataset(model, 6, excitation, noise, seed=11),
+                                    generate_dataset_loop(model, 6, excitation, noise, seed=11))
+
+
+def test_generation_matches_per_trajectory_loops_on_wide_plant():
+    model = drifting_plant(np.random.default_rng(2), 8, 4, 500)
+    for noise in (None, NoiseConfig(sigma=0.06, seed=1)):
+        assert_same_dataset(generate_dataset(model, 24, noise=noise, seed=5),
+                            generate_dataset_loop(model, 24, noise=noise, seed=5), rtol=1e-14)
 
 
 def test_trajectory_streams_are_independent():
