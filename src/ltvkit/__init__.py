@@ -12,8 +12,7 @@ from .sim import (ExcitationSpec, NoiseConfig, SmdConfig, generate_dataset,
                   simulate, smd_model)
 from .solvers import (SingularBlock, SingularSystem, SizeGuard, SolveOptions,
                       SolveReport, SolverError, TridiagonalSystem, build_system,
-                      cosmic_solve, cosmic_solve_preconditioned, oracle_solve,
-                      sbcd_solve)
+                      cosmic_solve, oracle_solve, sbcd_solve)
 
 __version__ = "0.1.0"
 
@@ -30,6 +29,6 @@ __all__ = [
     "simulate", "smd_model",
     "SingularBlock", "SingularSystem", "SizeGuard", "SolveOptions",
     "SolveReport", "SolverError", "TridiagonalSystem", "build_system",
-    "cosmic_solve", "cosmic_solve_preconditioned", "oracle_solve", "sbcd_solve",
+    "cosmic_solve", "oracle_solve", "sbcd_solve",
     "__version__",
 ]

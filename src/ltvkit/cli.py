@@ -238,8 +238,7 @@ def cmd_fit(args) -> int:
     sched = _schedule_from_args(args)
     try:
         if args.solver == "cosmic":
-            report = cosmic_solve(data, sched, SolveOptions(precondition=args.precondition,
-                                                            accounting=args.accounting))
+            report = cosmic_solve(data, sched, SolveOptions(accounting=args.accounting))
         elif args.solver == "sbcd":
             report = sbcd_solve(data, sched, epsilon=args.epsilon,
                                 max_iters=args.max_iters, seed=args.seed)
@@ -415,7 +414,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=float, help="uniform smoothness weight")
     p.add_argument("--lambda-file", help="schedule JSON: scalar, zones, or per_instant")
     p.add_argument("--out", required=True, help="model JSON to write")
-    p.add_argument("--precondition", choices=("auto", "on", "off"), default="auto")
     p.add_argument("--seed", type=int, default=0, help="sbcd initialization seed")
     p.add_argument("--epsilon", type=float, default=1e-10, help="sbcd stopping tolerance")
     p.add_argument("--max-iters", type=int, default=10**6, help="sbcd sweep budget")

@@ -7,23 +7,25 @@ and right-hand sides Theta_k = D(k)^T Xnext(k)^T.  Three routes solve it:
 
 * ``cosmic_solve``: closed-form block elimination by odd-even cyclic
   reduction, floor(log2 N) + 1 levels of batched block operations and as
-  many batched back-substitution levels; optionally a per-instant block
-  LU sweep preconditioned by the diagonal block inverses.
+  many batched back-substitution levels.
 * ``sbcd_solve``: stochastic block coordinate descent with exact block
   minimization and incremental gradient bookkeeping.
 * ``oracle_solve``: assembles the full dense normal matrix and solves it
   directly; intended as an independent reference, guarded by size.
+
+Every route judges its SPD pivots on their unit-diagonal rescaling (van der
+Sluis, Numer. Math. 14, 1969), so whether a fit succeeds does not depend on
+the units of the states and inputs; the arithmetic is not rescaled.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from .core import LambdaSchedule, LtvModel, StackedData, cost, gradient
 
@@ -39,14 +41,18 @@ __all__ = [
     "SizeGuard",
     "build_system",
     "cosmic_solve",
-    "cosmic_solve_preconditioned",
     "sbcd_solve",
     "oracle_solve",
 ]
 
-# A Cholesky diagonal whose largest-to-smallest ratio r has r^2 >= 1/eps marks
-# a numerically singular block; r is compared with sqrt(1/eps) to avoid squaring.
-_RATIO_LIMIT = np.sqrt(1.0 / np.finfo(np.float64).eps)
+# d_i^2 / S_ii, a pivot's squared Cholesky diagonal over its own diagonal, is
+# the share of S_ii left after eliminating the unknowns before i: in (0, 1]
+# and independent of how the unknowns are scaled.  A share at most 1e-6 means
+# a rescaled condition number of at least 1e6.  Healthy fits (SMD bench grids,
+# the ill-scaled family to a 1e12 ratio, random instances) measured >= 0.018,
+# exactly singular systems <= 6e-10; an unrescaled spread limit of
+# sqrt(1/eps) on d let some of the latter through.
+_PIVOT_FLOOR = 1e-6
 
 
 class SolverError(Exception):
@@ -61,8 +67,9 @@ class SingularBlock(SolverError):
     even instants 0, 2, 4, ..., level l the instants k with
     k + 1 divisible by 2^l but not by 2^(l+1); the pivots of one level are
     checked together and the smallest failing instant of the first failing
-    level is reported.  The preconditioned sweep and SBCD report the first
-    failing instant in time order.
+    level is reported.  SBCD reports the first failing instant in time
+    order.  A pivot is singular when its Cholesky factorization fails or,
+    rescaled to unit diagonal, a squared Cholesky diagonal is at most 1e-6.
     """
 
     def __init__(self, instant: int):
@@ -101,13 +108,11 @@ class TridiagonalSystem:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs shared by the closed-form solver entry points.
+    """Knobs of the closed-form solver.
 
     precondition
-        "off" runs the plain cyclic reduction, "on" rescales every
-        block row by the inverse of its diagonal block first, "auto" turns
-        preconditioning on when any diagonal block has a condition number
-        estimate above ``cond_trigger``.
+        Validated as "off", "on" or "auto" but without effect; kept so that
+        callers written for the retired preconditioned route still run.
     accounting
         When true, the report's multiply counts follow the per-step
         textbook charges of the closed-form recursion (one block inversion
@@ -117,7 +122,6 @@ class SolveOptions:
 
     precondition: str = "off"
     accounting: bool = False
-    cond_trigger: float = 1e10
 
     def __post_init__(self):
         if self.precondition not in ("off", "on", "auto"):
@@ -126,7 +130,11 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a solve: the model plus cost, gradient, and effort metrics."""
+    """Outcome of a solve: the model plus cost, gradient, and effort metrics.
+
+    ``preconditioned`` and its ``to_dict()`` key are always False; they are
+    kept so that readers written for the retired preconditioned route run.
+    """
 
     model: LtvModel
     final_cost: float
@@ -134,7 +142,7 @@ class SolveReport:
     multiply_count: int
     elapsed: float
     iterations: int
-    preconditioned: bool
+    preconditioned: bool = False
     converged: bool = True
     multiply_forward: int = 0
     multiply_backward: int = 0
@@ -228,10 +236,10 @@ def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     return TridiagonalSystem(skk=skk, lam=lam, theta=theta)
 
 
-def _unstable(d: Array) -> Array:
-    """Whether Cholesky diagonals ``d`` (last axis) are non-finite or too spread."""
-    ratio = d.max(axis=-1) / np.maximum(d.min(axis=-1), np.finfo(np.float64).tiny)
-    return ~(np.isfinite(d).all(axis=-1) & (ratio < _RATIO_LIMIT))
+def _unstable(d: Array, diag: Array) -> Array:
+    """Whether pivots with Cholesky diagonals ``d`` and own diagonals ``diag``
+    (last axis) are numerically singular; NaN in ``d`` marks a failed factor."""
+    return ~np.all(d * d > _PIVOT_FLOOR * diag, axis=-1)
 
 
 def _factor_spd(block: Array, instant: int):
@@ -240,7 +248,7 @@ def _factor_spd(block: Array, instant: int):
         fac = cho_factor(block, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise SingularBlock(instant) from None
-    if _unstable(np.abs(np.diag(fac[0]))):
+    if _unstable(np.diag(fac[0]), np.diag(block)):
         raise SingularBlock(instant)
     return fac
 
@@ -261,23 +269,12 @@ def _cholesky_diagonals(s: Array) -> Array:
 
 def _invert_pivots(s: Array, instants: Array, counter: _Counter) -> Array:
     """Inverses of a stack of SPD pivot blocks, checked like ``_factor_spd``."""
-    bad = _unstable(_cholesky_diagonals(s))
+    bad = _unstable(_cholesky_diagonals(s), np.diagonal(s, axis1=-2, axis2=-1))
     if bad.any():
         raise SingularBlock(int(instants[bad.argmax()]))
     m = s.shape[-1]
     counter.fwd(len(s) * (_Counter.chol(m) + _Counter.lu(m) + _Counter.solve(m, m)))
     return np.linalg.inv(s)
-
-
-def _factor_lu(block: Array, instant: int):
-    """Pivoted LU factor of a general block, or SingularBlock on failure."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        fac = lu_factor(block, check_finite=False)
-    d = np.abs(np.diag(fac[0]))
-    if not np.all(np.isfinite(d)) or d.min() <= d.max() * np.finfo(np.float64).eps**2:
-        raise SingularBlock(instant)
-    return fac
 
 
 def _t(a: Array) -> Array:
@@ -349,56 +346,7 @@ def _stencil_passes(system: TridiagonalSystem, counter: _Counter) -> Array:
     return x
 
 
-def _preconditioned_passes(system: TridiagonalSystem, counter: _Counter) -> Array:
-    """Generic block recursion on the system left-scaled by diag-block inverses.
-
-    Every block row is multiplied by S_kk^{-1}, making the diagonal blocks
-    identity and the couplings dense; the recursion then runs with general
-    pivot blocks.  The solution is unchanged by the rescaling.
-    """
-    skk, lam, theta = system.skk, system.lam, system.theta
-    n_blocks, m, p = theta.shape
-    eye = np.eye(m)
-
-    sinv = np.empty_like(skk)
-    theta_pc = np.empty_like(theta)
-    for k in range(n_blocks):
-        fac = _factor_spd(skk[k], k)
-        sinv[k] = cho_solve(fac, eye, check_finite=False)
-        theta_pc[k] = cho_solve(fac, theta[k], check_finite=False)
-        counter.misc(_Counter.chol(m) + _Counter.solve(m, m) + _Counter.solve(m, p))
-
-    factors = [None] * n_blocks
-    y = np.empty_like(theta)
-    factors[0] = _factor_lu(eye.copy(), 0)
-    y[0] = theta_pc[0]
-    counter.fwd(_Counter.lu(m))
-    for k in range(1, n_blocks):
-        lk = lam[k - 1]
-        lifted = lu_solve(factors[k - 1], sinv[k - 1], check_finite=False)
-        pivot = eye - (lk * lk) * (sinv[k] @ lifted)
-        factors[k] = _factor_lu(pivot, k)
-        y[k] = lu_solve(factors[k], theta_pc[k] + lk * (sinv[k] @ y[k - 1]), check_finite=False)
-        counter.fwd(
-            _Counter.solve(m, m) + m * m * m + m * m + _Counter.lu(m)
-            + m * m * p + m * p + _Counter.solve(m, p)
-        )
-
-    c = np.empty_like(theta)
-    c[n_blocks - 1] = y[n_blocks - 1]
-    for k in range(n_blocks - 2, -1, -1):
-        c[k] = y[k] + lam[k] * lu_solve(factors[k], sinv[k] @ c[k + 1], check_finite=False)
-        counter.bwd(m * m * p + _Counter.solve(m, p) + m * p)
-    return c
-
-
-def _needs_preconditioning(skk: Array, trigger: float) -> bool:
-    w = np.linalg.eigvalsh(skk)
-    low = np.maximum(np.abs(w[:, 0]), np.finfo(np.float64).tiny)
-    return bool(np.any(np.abs(w[:, -1]) / low > trigger))
-
-
-def _finish(model, data, sched, counter, elapsed, iterations, preconditioned, converged=True):
+def _finish(model, data, sched, counter, elapsed, iterations, converged=True):
     return SolveReport(
         model=model,
         final_cost=cost(model, data, sched),
@@ -406,7 +354,6 @@ def _finish(model, data, sched, counter, elapsed, iterations, preconditioned, co
         multiply_count=counter.total,
         elapsed=elapsed,
         iterations=iterations,
-        preconditioned=preconditioned,
         converged=converged,
         multiply_forward=counter.forward,
         multiply_backward=counter.backward,
@@ -428,31 +375,13 @@ def cosmic_solve(data: StackedData, sched: LambdaSchedule,
     opts = opts or SolveOptions()
     start = time.perf_counter()
     system = build_system(data, sched)
-    if opts.precondition == "on":
-        pre = True
-    elif opts.precondition == "auto":
-        pre = _needs_preconditioning(system.skk, opts.cond_trigger)
-    else:
-        pre = False
-    counter = _Counter(accounting=opts.accounting and not pre)
+    counter = _Counter(accounting=opts.accounting)
     counter.misc(data.N * data.L * data.width * (data.width + data.p))
-    if pre:
-        c = _preconditioned_passes(system, counter)
-    else:
-        c = _stencil_passes(system, counter)
-        counter.set_textbook(data.N, data.width, data.p)
+    c = _stencil_passes(system, counter)
+    counter.set_textbook(data.N, data.width, data.p)
     elapsed = time.perf_counter() - start
     model = LtvModel(p=data.p, q=data.q, N=data.N, C=c)
-    return _finish(model, data, sched, counter, elapsed, 1, pre)
-
-
-def cosmic_solve_preconditioned(data: StackedData, sched: LambdaSchedule,
-                                opts: Optional[SolveOptions] = None) -> SolveReport:
-    """Closed-form solve with diagonal-block preconditioning forced on."""
-    opts = opts or SolveOptions()
-    return cosmic_solve(data, sched, SolveOptions(precondition="on",
-                                                  accounting=opts.accounting,
-                                                  cond_trigger=opts.cond_trigger))
+    return _finish(model, data, sched, counter, elapsed, 1)
 
 
 def oracle_solve(data: StackedData, sched: LambdaSchedule,
@@ -461,8 +390,9 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
 
     Independent reference route for the closed-form solver.  Refuses
     systems larger than ``dense_limit`` rows with SizeGuard, and raises
-    SingularSystem when the dense matrix is not numerically positive
-    definite.
+    SingularSystem when the dense Cholesky factorization fails or one of
+    its diagonal blocks, the factors of the block pivots in time order,
+    fails the pivot test of the closed-form route.
     """
     start = time.perf_counter()
     n_blocks, m, p = data.N, data.width, data.p
@@ -488,13 +418,15 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
         fac = cho_factor(full, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise SingularSystem() from None
-    if _unstable(np.abs(np.diag(fac[0]))):
+    blocks = fac[0].reshape(n_blocks, m, n_blocks, m).diagonal(axis1=0, axis2=2)
+    pivots = np.tril(np.moveaxis(blocks, -1, 0))
+    if _unstable(np.diagonal(pivots, axis1=-2, axis2=-1), np.sum(pivots * pivots, axis=-1)).any():
         raise SingularSystem()
     counter.misc(_Counter.chol(size) + _Counter.solve(size, p))
     c = cho_solve(fac, rhs, check_finite=False).reshape(n_blocks, m, p)
     elapsed = time.perf_counter() - start
     model = LtvModel(p=data.p, q=data.q, N=data.N, C=c)
-    return _finish(model, data, sched, counter, elapsed, 1, False)
+    return _finish(model, data, sched, counter, elapsed, 1)
 
 
 def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
@@ -573,4 +505,4 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
         converged = grad_sq() <= epsilon
     elapsed = time.perf_counter() - start
     model = LtvModel(p=data.p, q=data.q, N=data.N, C=c)
-    return _finish(model, data, sched, counter, elapsed, sweeps, False, converged)
+    return _finish(model, data, sched, counter, elapsed, sweeps, converged)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve, expm
 
@@ -143,22 +144,39 @@ def confined_dataset(rng, p, q, n, ell):
     return TrajectoryDataset.build(p, q, pairs)
 
 
-def ill_scaled_instance():
-    """Sixfold trajectory set with the first state coordinate blown up by 1e6."""
-    rng = np.random.default_rng(5)
+def ill_scaled_instance(ratio=1e6, n=10, seed=5, process_noise=0.0):
+    """Six trajectories of A = diag(0.9, 0.8), B = (0, 0.5), with the first
+    state coordinate multiplied by ``ratio``.
+
+    Each trajectory draws x0, then its n inputs, then (when
+    ``process_noise`` is positive) its n process-noise vectors of that
+    standard deviation from one ``default_rng(seed)`` stream.  The
+    *ill-scaled family* is N = 12, process noise 0.01, seeds 0 and 1.
+    """
+    rng = np.random.default_rng(seed)
     a = np.diag([0.9, 0.8])
     b = np.array([[0.0], [0.5]])
     pairs = []
     for _ in range(6):
-        x = np.empty((11, 2))
+        x = np.empty((n + 1, 2))
         x[0] = rng.normal(size=2)
-        u = rng.normal(size=(10, 1))
-        for k in range(10):
-            x[k + 1] = a @ x[k] + b @ u[k]
-        x[:, 0] *= 1e6
+        u = rng.normal(size=(n, 1))
+        w = rng.normal(0.0, process_noise, size=(n, 2)) if process_noise > 0.0 else np.zeros((n, 2))
+        for k in range(n):
+            x[k + 1] = a @ x[k] + b @ u[k] + w[k]
+        x[:, 0] *= ratio
         pairs.append((x, u))
     data = assemble_stacked(TrajectoryDataset.build(2, 1, pairs))
     return data, LambdaSchedule.scalar(1.0)
+
+
+# The smoothness schedules the ill-scaled family is fitted with.
+ILL_SCALED_SCHEDULES = {
+    "1e-3": LambdaSchedule.scalar(1e-3),
+    "1": LambdaSchedule.scalar(1.0),
+    "1e3": LambdaSchedule.scalar(1e3),
+    "zoned": LambdaSchedule.zoned([(1, 1e6), (5, 1e-2), (9, 1e4)]),
+}
 
 
 def dense_normal_matrix(data, sched):
@@ -188,3 +206,37 @@ def dense_reference_solution(data, sched):
     """Solve the full normal equations with a generic dense solver."""
     sol = np.linalg.solve(dense_normal_matrix(data, sched), dense_rhs(data))
     return sol.reshape(data.N, data.width, data.p)
+
+
+def mp_reference(data, sched, dps=60):
+    """Solution of the dense normal equations formed and solved in mpmath.
+
+    The normal matrix and right-hand side are formed from the float64 data
+    (converted exactly) at ``dps`` digits, each column is solved with
+    ``mpmath.lu_solve``, and the result is rounded to float64.
+    """
+    lam = sched.materialize(data.N)
+    n, m, p = data.N, data.width, data.p
+    with mpmath.workdps(dps):
+        normal = mpmath.zeros(n * m, n * m)
+        rhs = mpmath.zeros(n * m, p)
+        for k in range(n):
+            rows = mpmath.matrix(data.D[k].tolist())
+            gram = rows.T * rows
+            theta = rows.T * mpmath.matrix(data.Xnext[k].T.tolist())
+            for i in range(m):
+                for j in range(m):
+                    normal[k * m + i, k * m + j] = gram[i, j]
+                for j in range(p):
+                    rhs[k * m + i, j] = theta[i, j]
+        for k in range(n - 1):
+            weight = mpmath.mpf(float(lam[k]))
+            for i in range(m):
+                a, b = k * m + i, (k + 1) * m + i
+                normal[a, a] += weight
+                normal[b, b] += weight
+                normal[a, b] -= weight
+                normal[b, a] -= weight
+        cols = [mpmath.lu_solve(normal, rhs.column(j)) for j in range(p)]
+        out = np.array([[float(col[i]) for col in cols] for i in range(n * m)])
+    return out.reshape(n, m, p)

@@ -213,6 +213,24 @@ def test_fit_insufficient_data_fails_with_hint(tmp_path, capsys):
     assert _COVARIANCE_HINT == HINT
 
 
+def test_fit_solves_ill_scaled_data(workdir, tmp_path, capsys):
+    # The first state coordinate in units 1e10 times smaller: the pivot test
+    # does not depend on units, so the fit succeeds on the one closed-form route.
+    record = json.loads((workdir / "data.json").read_text(encoding="utf-8"))
+    for trajectory in record["trajectories"]:
+        for row in trajectory["states"]:
+            row[0] *= 1e10
+    data = write_json(tmp_path / "ill.json", record)
+    code, out, err = run(capsys, "fit", "--data", data, "--lambda", "1",
+                         "--out", str(tmp_path / "m.json"))
+    assert code == 0, err
+    assert json.loads(out)["preconditioned"] is False
+    code, _, err = run(capsys, "fit", "--data", data, "--lambda", "1", "--precondition", "on",
+                       "--out", str(tmp_path / "m.json"))
+    assert code == 1
+    assert "--precondition" in err
+
+
 def test_fit_at_huge_lambda_hints_to_lower_it(tmp_path, capsys):
     # The data are sufficient, but lambda * eps exceeds their Gram diagonal,
     # so forming the pivots rounds the data away: lambda is at fault.
