@@ -50,8 +50,7 @@ def _read_json(path: str):
 
 def _write_json(path: str, obj, indent=None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=indent)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=indent) + "\n")
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -271,7 +270,7 @@ def cmd_eval(args) -> int:
         summary["max_error"] = float(np.max(errors))
         if args.out:
             _write_csv(args.out, ["k", "error"],
-                       ([str(k), _fmt(e)] for k, e in enumerate(errors)))
+                       ([str(k), repr(e)] for k, e in enumerate(errors.tolist())))
     elif args.out:
         raise ValueError("--out needs --data to evaluate prediction errors")
     if not args.truth and not args.data:
@@ -308,10 +307,10 @@ def cmd_rollout(args) -> int:
         header = (["k"] + [f"x{i}" for i in range(plant.p)]
                   + [f"u{j}" for j in range(plant.q)] + ["tracking_error"])
         rows = []
-        for k in range(plant.N + 1):
-            u_cells = [_fmt(v) for v in result.inputs[k]] if k < plant.N else [""] * plant.q
-            rows.append([str(k)] + [_fmt(v) for v in result.states[k]] + u_cells
-                        + [_fmt(result.tracking_errors[k])])
+        inputs = result.inputs.tolist()
+        for k, (x, err) in enumerate(zip(result.states.tolist(), result.tracking_errors.tolist())):
+            u_cells = list(map(repr, inputs[k])) if k < plant.N else [""] * plant.q
+            rows.append([str(k), *map(repr, x), *u_cells, repr(err)])
         _write_csv(args.out, header, rows)
     _emit(args, tracking_stats(result.tracking_errors).to_dict())
     return 0

@@ -426,19 +426,32 @@ def _check_consistent(model: LtvModel, data: StackedData) -> None:
         )
 
 
+def _residual(model: LtvModel, data: StackedData, sched: LambdaSchedule):
+    """Residual blocks D(k) C(k) - Xnext(k)^T (N, L, p), weights, block differences."""
+    _check_consistent(model, data)
+    res = data.D @ model.C - np.swapaxes(data.Xnext, 1, 2)
+    return res, sched.materialize(data.N), model.C[1:] - model.C[:-1]
+
+
+def _terms(res: Array, lam: Array, dc: Array) -> tuple[float, float]:
+    return 0.5 * float(np.sum(res * res)), 0.5 * float(lam @ np.sum(dc * dc, axis=(1, 2)))
+
+
+def _gradient(data: StackedData, res: Array, lam: Array, dc: Array) -> Array:
+    g = np.swapaxes(data.D, 1, 2) @ res
+    w = lam[:, None, None] * dc
+    g[1:] += w
+    g[:-1] -= w
+    return g
+
+
 def cost_terms(model: LtvModel, data: StackedData, sched: LambdaSchedule) -> tuple[float, float]:
     """Fit and smoothness terms of the objective, separately.
 
-    The fit term is 0.5 * sum_k ||D(k) C(k) - Xnext(k)^T||_F^2 and the
-    smoothness term is 0.5 * sum_{k>=1} lambda_k ||C(k) - C(k-1)||_F^2.
+    The fit term is 0.5 * sum_k ||D(k) C(k) - Xnext(k)^T||_F^2 (one batched
+    matmul) and the smoothness term is 0.5 * sum_{k>=1} lambda_k ||C(k) - C(k-1)||_F^2.
     """
-    _check_consistent(model, data)
-    lam = sched.materialize(data.N)
-    res = np.einsum("klm,kmp->klp", data.D, model.C) - np.transpose(data.Xnext, (0, 2, 1))
-    fit = 0.5 * float(np.sum(res * res))
-    dc = model.C[1:] - model.C[:-1]
-    smooth = 0.5 * float(lam @ np.sum(dc * dc, axis=(1, 2)))
-    return fit, smooth
+    return _terms(*_residual(model, data, sched))
 
 
 def cost(model: LtvModel, data: StackedData, sched: LambdaSchedule) -> float:
@@ -451,15 +464,15 @@ def gradient(model: LtvModel, data: StackedData, sched: LambdaSchedule) -> Array
     """Gradient of the objective with respect to the blocks C(k).
 
     Returns an (N, p+q, p) array; block k holds
-    D(k)^T (D(k) C(k) - Xnext(k)^T) plus the smoothness terms
+    D(k)^T (D(k) C(k) - Xnext(k)^T) (two batched matmuls) plus the smoothness terms
     lambda_k (C(k) - C(k-1)) + lambda_{k+1} (C(k) - C(k+1)), with the
     boundary terms dropped at k = 0 and k = N-1.
     """
-    _check_consistent(model, data)
-    lam = sched.materialize(data.N)
-    res = np.einsum("klm,kmp->klp", data.D, model.C) - np.transpose(data.Xnext, (0, 2, 1))
-    g = np.einsum("klm,klp->kmp", data.D, res)
-    w = lam[:, None, None] * (model.C[1:] - model.C[:-1])
-    g[1:] += w
-    g[:-1] -= w
-    return g
+    return _gradient(data, *_residual(model, data, sched))
+
+
+def _cost_and_gradient(model: LtvModel, data: StackedData, sched: LambdaSchedule):
+    """``cost`` and ``gradient`` from one residual; bitwise equal to both."""
+    parts = _residual(model, data, sched)
+    fit, smooth = _terms(*parts)
+    return fit + smooth, _gradient(data, *parts)

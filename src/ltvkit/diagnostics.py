@@ -161,9 +161,7 @@ def prediction_error(model: LtvModel, trajectory: Trajectory, mode: str = "one-s
         raise ValueError(f"model covers {model.N} instants, trajectory has {n}")
     a_seq, b_seq = model.A_seq, model.B_seq
     if mode == "one-step":
-        pred = np.einsum("kij,kj->ki", a_seq, states[:-1]) + np.einsum(
-            "kij,kj->ki", b_seq, inputs
-        )
+        pred = (a_seq @ states[:-1, :, None] + b_seq @ inputs[:, :, None])[:, :, 0]
     elif mode == "rollout":
         pred = np.empty((n, model.p))
         x = states[0]

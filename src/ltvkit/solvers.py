@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import LambdaSchedule, LtvModel, StackedData, cost, gradient
+from .core import LambdaSchedule, LtvModel, StackedData, _cost_and_gradient
 
 Array = np.ndarray
 
@@ -218,22 +218,28 @@ class _Counter:
         return n * n * rhs
 
 
+def _assemble(data: StackedData, sched: LambdaSchedule) -> tuple[Array, TridiagonalSystem]:
+    """The Gram blocks D(k)^T D(k) and the normal equations built on them."""
+    lam = sched.materialize(data.N)
+    dt = np.swapaxes(data.D, 1, 2)
+    gram = dt @ data.D
+    theta = dt @ np.swapaxes(data.Xnext, 1, 2)
+    shift = np.zeros(data.N)
+    shift[:-1] += lam
+    shift[1:] += lam
+    skk = gram + shift[:, None, None] * np.eye(data.width)
+    return gram, TridiagonalSystem(skk=skk, lam=lam, theta=theta)
+
+
 def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     """Assemble the block-tridiagonal normal equations of the objective.
 
     Diagonal blocks are D(k)^T D(k) plus lambda_1 I at k = 0,
     (lambda_k + lambda_{k+1}) I in the interior, and lambda_{N-1} I at
-    k = N-1; couplings are -lambda_k I; right-hand sides are
-    D(k)^T Xnext(k)^T.
+    k = N-1; couplings are -lambda_k I; right-hand sides are D(k)^T Xnext(k)^T.
+    Both are batched matmuls; numpy forms D^T D as a symmetric rank-k update.
     """
-    lam = sched.materialize(data.N)
-    gram = np.einsum("kli,klj->kij", data.D, data.D)
-    theta = np.einsum("kli,kjl->kij", data.D, data.Xnext)
-    shift = np.zeros(data.N)
-    shift[:-1] += lam
-    shift[1:] += lam
-    skk = gram + shift[:, None, None] * np.eye(data.width)
-    return TridiagonalSystem(skk=skk, lam=lam, theta=theta)
+    return _assemble(data, sched)[1]
 
 
 def _unstable(d: Array, diag: Array) -> Array:
@@ -347,10 +353,11 @@ def _stencil_passes(system: TridiagonalSystem, counter: _Counter) -> Array:
 
 
 def _finish(model, data, sched, counter, elapsed, iterations, converged=True):
+    final_cost, grad = _cost_and_gradient(model, data, sched)
     return SolveReport(
         model=model,
-        final_cost=cost(model, data, sched),
-        gradient_norm=float(np.linalg.norm(gradient(model, data, sched))),
+        final_cost=final_cost,
+        gradient_norm=float(np.linalg.norm(grad)),
         multiply_count=counter.total,
         elapsed=elapsed,
         iterations=iterations,
@@ -399,7 +406,6 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
     size = n_blocks * m
     if size > dense_limit:
         raise SizeGuard(size, dense_limit)
-    lam = sched.materialize(data.N)
     system = build_system(data, sched)
     counter = _Counter()
     counter.misc(n_blocks * data.L * m * (m + p))
@@ -410,8 +416,8 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
         full[sl, sl] = system.skk[k]
         if k > 0:
             prev = slice((k - 1) * m, k * m)
-            full[sl, prev] = -lam[k - 1] * np.eye(m)
-            full[prev, sl] = -lam[k - 1] * np.eye(m)
+            full[sl, prev] = -system.lam[k - 1] * np.eye(m)
+            full[prev, sl] = -system.lam[k - 1] * np.eye(m)
     rhs = system.theta.reshape(size, p)
 
     try:
@@ -452,10 +458,9 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
     if max_iters < 0:
         raise ValueError(f"sweep budget must be nonnegative, got {max_iters}")
     start = time.perf_counter()
-    system = build_system(data, sched)
+    gram, system = _assemble(data, sched)
     skk, lam, theta = system.skk, system.lam, system.theta
     n_blocks, m, p = theta.shape
-    gram = np.einsum("kli,klj->kij", data.D, data.D)
 
     counter = _Counter()
     counter.misc(n_blocks * data.L * m * (m + p))
@@ -470,7 +475,7 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
     counter.misc(n_blocks * _Counter.chol(m))
 
     # gradient blocks, kept in two parts: fit part and smoothness part
-    gh = np.einsum("kij,kjp->kip", gram, c) - theta
+    gh = gram @ c - theta
     w = lam[:, None, None] * (c[1:] - c[:-1])
     gg = np.zeros_like(c)
     gg[1:] += w

@@ -1,10 +1,12 @@
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ltvkit import LtvModel, TrajectoryDataset
-from ltvkit.cli import _COVARIANCE_HINT, main
+from ltvkit import LtvModel, TrajectoryDataset, cli
+from ltvkit.cli import _COVARIANCE_HINT, _fmt, main
 
 HINT = "dataset covariance not positive definite - collect more varied trajectories"
 
@@ -467,6 +469,62 @@ def test_sweep_spec_validation(tmp_path, capsys):
                            "--out", str(tmp_path / "s.csv"))
         assert code == 1
         assert needle in err
+
+
+# ---------------------------------------------------------------- file format
+
+
+def test_written_files_match_the_python_encoder(tmp_path, monkeypatch):
+    """Each written file has the bytes json.dump and _fmt give for the same objects,
+    so criterion 11's byte determinism is a property of the format, not of the encoder."""
+    written, results = [], {}
+    write = cli._write_json
+
+    def recording_write(path, obj, indent=None):
+        written.append((path, obj, indent))
+        write(path, obj, indent)
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            results[name] = fn(*args, **kwargs)
+            return results[name]
+        return call
+
+    monkeypatch.setattr(cli, "_write_json", recording_write)
+    for name in ("closed_loop_rollout", "prediction_error"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    config = write_json(tmp_path / "config.json",
+                        {"smd": {"N": 40}, "L": 4, "noise": {"sigma": 0.03, "seed": 1}, "seed": 5})
+    f = lambda name: str(tmp_path / name)  # noqa: E731
+    for argv in (["generate", "--config", config, "--out", f("data.json"),
+                  "--model-out", f("truth.json")],
+                 ["check", "--data", f("data.json"), "--out", f("check.json")],
+                 ["fit", "--data", f("data.json"), "--lambda", "10", "--out", f("model.json")],
+                 ["lqr", "--model", f("model.json"), "--out", f("gains.json")],
+                 ["rollout", "--plant", f("truth.json"), "--gains", f("gains.json"),
+                  "--x0", "1,-0.5", "--out", f("rollout.csv")],
+                 ["eval", "--model", f("model.json"), "--data", f("data.json"),
+                  "--out", f("errors.csv")]):
+        assert main(argv + ["--quiet"]) == 0
+
+    assert sorted(Path(path).name for path, _, _ in written) == [
+        "check.json", "data.json", "gains.json", "model.json", "truth.json"]
+    for path, obj, indent in written:
+        expected = io.StringIO()
+        json.dump(obj, expected, indent=indent)
+        expected.write("\n")
+        assert Path(path).read_bytes() == expected.getvalue().encode("utf-8")
+
+    roll = results["closed_loop_rollout"]
+    n, q = roll.inputs.shape
+    lines = ["k,x0,x1,u0,tracking_error"]
+    for k in range(n + 1):
+        u_cells = [_fmt(v) for v in roll.inputs[k]] if k < n else [""] * q
+        lines.append(",".join([str(k)] + [_fmt(v) for v in roll.states[k]] + u_cells
+                              + [_fmt(roll.tracking_errors[k])]))
+    assert (tmp_path / "rollout.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    errors = "".join(f"{k},{_fmt(e)}\n" for k, e in enumerate(results["prediction_error"]))
+    assert (tmp_path / "errors.csv").read_bytes() == ("k,error\n" + errors).encode()
 
 
 # ---------------------------------------------------------------- usage

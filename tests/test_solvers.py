@@ -9,11 +9,12 @@ from numpy.testing import assert_allclose
 from ltvkit import (LambdaSchedule, LtvModel, NoiseConfig, SingularBlock,
                     SingularSystem, SizeGuard, SmdConfig, SolveOptions, TrajectoryDataset,
                     assemble_stacked, build_system, cosmic_solve, cost, generate_dataset,
-                    oracle_solve, predicted_multiply_count, sbcd_solve, smd_model)
+                    gradient, oracle_solve, predicted_multiply_count, sbcd_solve, smd_model)
 
 from _cases import (ILL_SCALED_SCHEDULES, confined_dataset, dense_normal_matrix,
-                    dense_reference_solution, hand_instance, ill_scaled_instance,
-                    mp_reference, random_dataset, random_instance)
+                    dense_reference_solution, drifting_plant, hand_instance,
+                    ill_scaled_instance, mp_reference, random_dataset, random_instance,
+                    relative_gap)
 
 
 def zero_instance():
@@ -69,6 +70,35 @@ def test_build_system_blocks_are_symmetric():
     skk = build_system(data, sched).skk
     scale = float(np.max(np.abs(skk)))
     assert_allclose(skk, np.swapaxes(skk, 1, 2), atol=1e-14 * scale)
+
+
+def wide_instance(n, lam=1e3):
+    """Data of a p = 8, q = 4 drifting plant over L = 24 noisy trajectories."""
+    plant = drifting_plant(np.random.default_rng(0), 8, 4, n)
+    dataset = generate_dataset(plant, 24, noise=NoiseConfig(sigma=0.01, seed=2), seed=1)
+    return assemble_stacked(dataset), LambdaSchedule.scalar(lam)
+
+
+def test_gram_blocks_are_exactly_symmetric():
+    # np.linalg.inv reads both triangles of a pivot, so a Gram block that is
+    # symmetric only to rounding would pass unnoticed through the solve.
+    smd = assemble_stacked(generate_dataset(smd_model(SmdConfig(N=2500)), 6,
+                                            noise=NoiseConfig(sigma=0.06, seed=1), seed=0))
+    for data, sched in ((smd, LambdaSchedule.scalar(1e5)), wide_instance(2000)):
+        skk = build_system(data, sched).skk
+        assert np.array_equal(skk, skk.swapaxes(1, 2))
+
+
+def test_build_system_matches_per_instant_products():
+    data, _ = wide_instance(300)
+    sched = LambdaSchedule.zoned([(1, 1e3), (100, 1e-2), (200, 1e5)])
+    system = build_system(data, sched)
+    lam = np.concatenate([[0.0], sched.materialize(data.N), [0.0]])
+    eye = np.eye(data.width)
+    gram = np.stack([d.T @ d + (lam[k] + lam[k + 1]) * eye for k, d in enumerate(data.D)])
+    theta = np.stack([d.T @ x.T for d, x in zip(data.D, data.Xnext)])
+    assert relative_gap(system.skk, gram) <= 1e-14
+    assert relative_gap(system.theta, theta) <= 1e-14
 
 
 def test_tridiagonal_system_shape_validation():
@@ -339,6 +369,18 @@ def test_accounting_mode_matches_closed_form_count():
         assert report.multiply_count == predicted.total
         assert report.multiply_forward == predicted.forward
         assert report.multiply_backward == predicted.backward
+
+
+def test_report_agrees_with_public_objective():
+    rng = np.random.default_rng(28)
+    small, small_sched = random_instance(rng, n_hi=12)
+    wide, wide_sched = wide_instance(30, lam=1.0)
+    for data, sched in ((small, small_sched), (wide, wide_sched)):
+        for report in (cosmic_solve(data, sched), oracle_solve(data, sched),
+                       sbcd_solve(data, sched, max_iters=20, seed=0)):
+            assert report.final_cost == cost(report.model, data, sched)
+            grad = gradient(report.model, data, sched)
+            assert report.gradient_norm == float(np.linalg.norm(grad))
 
 
 def test_report_serialization():
