@@ -301,7 +301,7 @@ def cmd_rollout(args) -> int:
         if not isinstance(ref_obj, dict) or "states" not in ref_obj:
             raise ValueError(f"{args.reference}: reference file must carry a 'states' matrix")
         reference = np.asarray(ref_obj["states"], dtype=np.float64)
-    noise = NoiseConfig(sigma=args.noise_sigma, seed=args.noise_seed) if args.noise_sigma > 0 else None
+    noise = NoiseConfig(sigma=args.noise_sigma, seed=args.noise_seed)
     result = closed_loop_rollout(plant, gains, reference, x0, noise)
     if args.out:
         header = (["k"] + [f"x{i}" for i in range(plant.p)]
@@ -367,7 +367,7 @@ def cmd_sweep(args) -> int:
             sched = LambdaSchedule.scalar(lam)
             values = []
             for seed in spec.seeds:
-                noise = NoiseConfig(sigma=sigma, seed=seed) if sigma > 0 else None
+                noise = NoiseConfig(sigma=sigma, seed=seed)
                 dataset = generate_dataset(truth, spec.L, excitation, noise, seed)
                 report = cosmic_solve(assemble_stacked(dataset), sched)
                 if spec.metric == "estimation":

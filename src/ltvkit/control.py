@@ -66,8 +66,10 @@ class LqrWeights:
     position_mask: Optional[tuple[bool, ...]] = None
 
     def __post_init__(self):
-        if self.q_x <= 0.0 or self.q_v <= 0.0 or self.r <= 0.0:
-            raise ValueError("LQR weights must be positive")
+        for name in ("q_x", "q_v", "r"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"LQR weights must be positive and finite, got {name}={value!r}")
         if self.terminal is not None:
             term = np.asarray(self.terminal, dtype=np.float64)
             object.__setattr__(self, "terminal", term)

@@ -3,8 +3,9 @@
 A dataset identifies the fitting problem uniquely exactly when the summed
 empirical covariance of the stacked state-input samples is positive
 definite, or equivalently when the stacked sample rows have full column
-rank.  Both checks are provided, together with the closed-form multiply
-count of the block-LU solver and the error metrics used for validation.
+rank.  Both checks are provided, together with the per-instant textbook
+multiply count of the closed-form recursion, which ``cosmic_solve``
+reports in accounting mode, and the error metrics used for validation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import LtvModel, Trajectory, TrajectoryDataset
+from .sim import simulate
 
 Array = np.ndarray
 
@@ -116,13 +118,15 @@ def rank_condition(dataset: TrajectoryDataset, tol: Optional[float] = None) -> t
 
 
 def predicted_multiply_count(N: int, p: int, q: int) -> MultiplyCount:
-    """Multiply count of the closed-form block-LU solve, split by pass.
+    """Per-instant textbook multiply count of the closed-form recursion.
 
-    The forward pass charges one (p+q)^3 block inversion, two scalar-matrix
-    products of (p+q)^2, and one (p+q) x (p+q) by (p+q) x p product per
-    instant; the backward pass charges one scalar-matrix product and one
-    block product per instant.  The total is
-    N * ((p+q)^3 + (2p+3)(p+q)^2), independent of the trajectory count.
+    This is the count ``cosmic_solve`` reports with
+    ``SolveOptions(accounting=True)``, split by pass.  The forward pass
+    charges one (p+q)^3 block inversion, two scalar-matrix products of
+    (p+q)^2, and one (p+q) x (p+q) by (p+q) x p product per instant; the
+    backward pass charges one scalar-matrix product and one block product
+    per instant.  The total is N * ((p+q)^3 + (2p+3)(p+q)^2), independent
+    of the trajectory count.
     """
     if N < 1 or p < 1 or q < 0:
         raise ValueError(f"invalid shape N={N}, p={p}, q={q}")
@@ -147,7 +151,7 @@ def prediction_error(model: LtvModel, trajectory: Trajectory, mode: str = "one-s
 
     In "one-step" mode each prediction starts from the recorded state
     x(k); in "rollout" mode the model propagates its own prediction from
-    x(0).  Returns the N Euclidean errors against x(k+1).
+    x(0) by ``simulate``.  Returns the N Euclidean errors against x(k+1).
     """
     states = trajectory.states
     inputs = trajectory.inputs
@@ -159,15 +163,10 @@ def prediction_error(model: LtvModel, trajectory: Trajectory, mode: str = "one-s
         )
     if model.N != n:
         raise ValueError(f"model covers {model.N} instants, trajectory has {n}")
-    a_seq, b_seq = model.A_seq, model.B_seq
     if mode == "one-step":
-        pred = (a_seq @ states[:-1, :, None] + b_seq @ inputs[:, :, None])[:, :, 0]
+        pred = (model.A_seq @ states[:-1, :, None] + model.B_seq @ inputs[:, :, None])[:, :, 0]
     elif mode == "rollout":
-        pred = np.empty((n, model.p))
-        x = states[0]
-        for k in range(n):
-            x = a_seq[k] @ x + b_seq[k] @ inputs[k]
-            pred[k] = x
+        pred = simulate(model, states[0], inputs)[1:]
     else:
         raise ValueError(f"mode must be one-step or rollout, got {mode!r}")
     return np.linalg.norm(pred - states[1:], axis=1)

@@ -92,8 +92,9 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError(f"noise level must be nonnegative, got {self.sigma}")
+        if not (isinstance(self.sigma, numbers.Real) and 0.0 <= self.sigma < math.inf):
+            raise ValueError(f"sigma (noise level) must be a finite nonnegative number, "
+                             f"got {self.sigma!r}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import LambdaSchedule, LtvModel, StackedData, _cost_and_gradient
+from .diagnostics import predicted_multiply_count
 
 Array = np.ndarray
 
@@ -68,8 +69,10 @@ class SingularBlock(SolverError):
     k + 1 divisible by 2^l but not by 2^(l+1); the pivots of one level are
     checked together and the smallest failing instant of the first failing
     level is reported.  SBCD reports the first failing instant in time
-    order.  A pivot is singular when its Cholesky factorization fails or,
-    rescaled to unit diagonal, a squared Cholesky diagonal is at most 1e-6.
+    order: it checks all N diagonal blocks S_kk in one batch before its
+    first sweep.  A pivot is singular when its Cholesky factorization fails
+    or, rescaled to unit diagonal, a squared Cholesky diagonal is at most
+    1e-6.
     """
 
     def __init__(self, instant: int):
@@ -114,10 +117,10 @@ class SolveOptions:
         Validated as "off", "on" or "auto" but without effect; kept so that
         callers written for the retired preconditioned route still run.
     accounting
-        When true, the report's multiply counts follow the per-step
-        textbook charges of the closed-form recursion (one block inversion
-        plus fixed matrix products per instant) instead of counting the
-        multiplies of the batched operations the solver performs.
+        When true, the report's multiply counts are
+        ``predicted_multiply_count``'s per-instant textbook charges of the
+        closed-form recursion instead of the multiplies of the batched
+        operations the solver performs.
     """
 
     precondition: str = "off"
@@ -167,18 +170,16 @@ class SolveReport:
 class _Counter:
     """Tallies scalar multiplies, split by solver phase.
 
-    In measured mode the charges follow standard dense linear algebra
-    formulas (Cholesky n^3/6 + n^2, LU n^3/3 + n^2, factored solve n^2 per
-    column, inverse as LU plus n solved columns, matrix product full size,
-    scalar times matrix one per entry), so the count is a deterministic
-    function of the problem shapes.  In accounting mode the per-phase
-    totals are set wholesale by the closed-form recursion instead.
+    The charges follow standard dense linear algebra formulas (Cholesky
+    n^3/6 + n^2, LU n^3/3 + n^2, factored solve n^2 per column, inverse as
+    LU plus n solved columns, matrix product full size, scalar times matrix
+    one per entry), so the count is a deterministic function of the problem
+    shapes.
     """
 
-    __slots__ = ("accounting", "forward", "backward", "other")
+    __slots__ = ("forward", "backward", "other")
 
-    def __init__(self, accounting: bool = False):
-        self.accounting = accounting
+    def __init__(self):
         self.forward = 0
         self.backward = 0
         self.other = 0
@@ -188,22 +189,13 @@ class _Counter:
         return self.forward + self.backward + self.other
 
     def fwd(self, n: int) -> None:
-        if not self.accounting:
-            self.forward += n
+        self.forward += n
 
     def bwd(self, n: int) -> None:
-        if not self.accounting:
-            self.backward += n
+        self.backward += n
 
     def misc(self, n: int) -> None:
-        if not self.accounting:
-            self.other += n
-
-    def set_textbook(self, N: int, m: int, p: int) -> None:
-        if self.accounting:
-            self.forward = N * (m**3 + (p + 2) * m * m)
-            self.backward = N * ((p + 1) * m * m)
-            self.other = 0
+        self.other += n
 
     @staticmethod
     def chol(n: int) -> int:
@@ -248,17 +240,6 @@ def _unstable(d: Array, diag: Array) -> Array:
     return ~np.all(d * d > _PIVOT_FLOOR * diag, axis=-1)
 
 
-def _factor_spd(block: Array, instant: int):
-    """Cholesky factor of an SPD block, or SingularBlock on failure."""
-    try:
-        fac = cho_factor(block, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise SingularBlock(instant) from None
-    if _unstable(np.diag(fac[0]), np.diag(block)):
-        raise SingularBlock(instant)
-    return fac
-
-
 def _cholesky_diagonals(s: Array) -> Array:
     """|diag| of the Cholesky factor of every block of ``s``, NaN where it fails.
 
@@ -273,13 +254,17 @@ def _cholesky_diagonals(s: Array) -> Array:
         return np.stack([_cholesky_diagonals(block) for block in s])
 
 
-def _invert_pivots(s: Array, instants: Array, counter: _Counter) -> Array:
-    """Inverses of a stack of SPD pivot blocks, checked like ``_factor_spd``."""
+def _invert_pivots(s: Array, instants: Array, charge) -> Array:
+    """Inverses of a stack of SPD pivot blocks, charged to ``charge``.
+
+    Raises SingularBlock naming the first of ``instants`` whose pivot fails
+    the test of ``_unstable``.
+    """
     bad = _unstable(_cholesky_diagonals(s), np.diagonal(s, axis1=-2, axis2=-1))
     if bad.any():
         raise SingularBlock(int(instants[bad.argmax()]))
     m = s.shape[-1]
-    counter.fwd(len(s) * (_Counter.chol(m) + _Counter.lu(m) + _Counter.solve(m, m)))
+    charge(len(s) * (_Counter.chol(m) + _Counter.lu(m) + _Counter.solve(m, m)))
     return np.linalg.inv(s)
 
 
@@ -321,7 +306,7 @@ def _stencil_passes(system: TridiagonalSystem, counter: _Counter) -> Array:
     instants = np.arange(s.shape[0])
     levels = []
     while True:
-        sinv = _invert_pivots(s[0::2], instants[0::2], counter)
+        sinv = _invert_pivots(s[0::2], instants[0::2], counter.fwd)
         y = _product(sinv, r[0::2], counter.fwd)
         levels.append((sinv, e, y))
         h = s.shape[0] // 2
@@ -382,10 +367,12 @@ def cosmic_solve(data: StackedData, sched: LambdaSchedule,
     opts = opts or SolveOptions()
     start = time.perf_counter()
     system = build_system(data, sched)
-    counter = _Counter(accounting=opts.accounting)
+    counter = _Counter()
     counter.misc(data.N * data.L * data.width * (data.width + data.p))
     c = _stencil_passes(system, counter)
-    counter.set_textbook(data.N, data.width, data.p)
+    if opts.accounting:
+        textbook = predicted_multiply_count(data.N, data.p, data.q)
+        counter.forward, counter.backward, counter.other = textbook.forward, textbook.backward, 0
     elapsed = time.perf_counter() - start
     model = LtvModel(p=data.p, q=data.q, N=data.N, C=c)
     return _finish(model, data, sched, counter, elapsed, 1)
@@ -444,10 +431,12 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
     (or from ``init`` when given), then repeatedly sweeps the instants in
     a fresh uniformly random order, replacing each block by its exact
     minimizer S_ii^{-1} (Theta_i + lambda_i C(i-1) + lambda_{i+1} C(i+1))
-    with the boundary terms dropped.  The gradient is maintained
-    incrementally and its squared Frobenius norm is tested once per sweep;
-    the solve stops when it drops to ``epsilon`` or after ``max_iters``
-    sweeps, and the report's ``converged`` flag records which.
+    with the boundary terms dropped; the N inverses S_ii^{-1} are formed
+    once, in one batch checked by the closed-form route's pivot test.  The
+    gradient is maintained incrementally and its squared Frobenius norm is
+    tested once per sweep; the solve stops when it drops to ``epsilon`` or
+    after ``max_iters`` sweeps, and the report's ``converged`` flag records
+    which.
 
     The RNG contract is: one ``default_rng(seed)`` stream, first the
     initial blocks, then one permutation per sweep, so equal seeds give
@@ -471,8 +460,7 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
             raise ValueError("initial model does not match the data dimensions")
         c = np.array(init.C)
 
-    factors = [_factor_spd(skk[k], k) for k in range(n_blocks)]
-    counter.misc(n_blocks * _Counter.chol(m))
+    sinv = _invert_pivots(skk, np.arange(n_blocks), counter.misc)
 
     # gradient blocks, kept in two parts: fit part and smoothness part
     gh = gram @ c - theta
@@ -495,7 +483,7 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
                 rhs += lam[i - 1] * c[i - 1]
             if i < n_blocks - 1:
                 rhs += lam[i] * c[i + 1]
-            new_block = cho_solve(factors[i], rhs, check_finite=False)
+            new_block = sinv[i] @ rhs
             delta = new_block - c[i]
             c[i] = new_block
             gh[i] += gram[i] @ delta
@@ -505,7 +493,7 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
             if i < n_blocks - 1:
                 gg[i + 1] -= lam[i] * delta
                 gg[i] += lam[i] * delta
-            counter.misc(_Counter.solve(m, p) + m * m * p + 4 * m * p)
+        counter.misc(n_blocks * (_Counter.solve(m, p) + m * m * p + 4 * m * p))
         sweeps += 1
         converged = grad_sq() <= epsilon
     elapsed = time.perf_counter() - start

@@ -116,6 +116,18 @@ def test_generate_rejects_bad_plant_config(tmp_path, capsys):
         assert not (tmp_path / "data.json").exists()
 
 
+def test_generate_rejects_non_finite_noise(tmp_path, capsys):
+    for sigma in (float("nan"), float("inf")):
+        config = write_json(tmp_path / "config.json",
+                            {"smd": {"N": 20}, "noise": {"sigma": sigma}})
+        code, out, err = run(capsys, "generate", "--config", config,
+                             "--out", str(tmp_path / "data.json"))
+        assert code == 1
+        assert "sigma" in err
+        assert out == ""
+        assert not (tmp_path / "data.json").exists()
+
+
 # ---------------------------------------------------------------- check
 
 
@@ -379,6 +391,24 @@ def test_rollout_noise_and_x0_parsing(plant_files, tmp_path, capsys):
                        "--x0", "1.0;2.0")
     assert code == 1
     assert "comma-separated numbers" in err
+    for sigma in ("nan", "inf"):
+        code, _, err = run(capsys, "rollout", "--plant", plant, "--gains", gains,
+                           "--x0", "0.7,-0.2", "--noise-sigma", sigma,
+                           "--out", str(tmp_path / "bad.csv"))
+        assert code == 1
+        assert "sigma" in err
+        assert not (tmp_path / "bad.csv").exists()
+
+
+def test_lqr_rejects_non_finite_weights(plant_files, tmp_path, capsys):
+    out_path = tmp_path / "gains.json"
+    for flag, name in (("--q-x", "q_x"), ("--q-v", "q_v"), ("--r", "r")):
+        for value in ("nan", "inf"):
+            code, _, err = run(capsys, "lqr", "--model", str(plant_files / "plant.json"),
+                               "--out", str(out_path), flag, value)
+            assert code == 1
+            assert f"got {name}=" in err
+            assert not out_path.exists()
 
 
 # ---------------------------------------------------------------- bench
@@ -462,6 +492,8 @@ def test_sweep_spec_validation(tmp_path, capsys):
         ({"lambda_grid": [1.0], "sigma_grid": [0.0], "metric": "bias"},
          "metric must be estimation or prediction"),
         ({"lambda_grid": [1.0]}, "sigma_grid is required"),
+        ({"lambda_grid": [1.0], "sigma_grid": [float("nan")], "seeds": [0],
+          "smd": {"N": 10}}, "sigma (noise level)"),
     ]
     for obj, needle in cases:
         spec = write_json(tmp_path / "spec.json", obj)
@@ -469,6 +501,7 @@ def test_sweep_spec_validation(tmp_path, capsys):
                            "--out", str(tmp_path / "s.csv"))
         assert code == 1
         assert needle in err
+        assert not (tmp_path / "s.csv").exists()
 
 
 # ---------------------------------------------------------------- file format

@@ -49,6 +49,10 @@ def test_weights_validation():
         LqrWeights(q_x=0.0)
     with pytest.raises(ValueError, match="LQR weights must be positive"):
         LqrWeights(r=-1.0)
+    for name in ("q_x", "q_v", "r"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"finite, got {name}="):
+                LqrWeights(**{name: bad})
     with pytest.raises(ValueError, match="terminal cost has shape"):
         LqrWeights(terminal=np.eye(3)).terminal_cost(2)
 

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from ltvkit import (LambdaSchedule, LtvModel, SingularSystem, Trajectory,
                     TrajectoryDataset, assemble_stacked, covariance_sufficiency,
                     estimation_error, oracle_solve, prediction_error,
-                    predicted_multiply_count, rank_condition)
+                    predicted_multiply_count, rank_condition, simulate)
 
 from _cases import confined_dataset, random_dataset
 
@@ -219,6 +219,8 @@ def test_prediction_error_matches_scalar_loop():
         z = model.A(k) @ z + model.B(k) @ u[k]
         rollout[k] = np.linalg.norm(z - x[k + 1])
     assert_allclose(prediction_error(model, tr, mode="rollout"), rollout, rtol=1e-12)
+    simulated = np.linalg.norm(simulate(model, x[0], u)[1:] - x[1:], axis=1)
+    assert_allclose(prediction_error(model, tr, mode="rollout"), simulated, rtol=0, atol=0)
 
 
 def test_prediction_error_validation():

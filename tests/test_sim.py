@@ -106,6 +106,10 @@ def test_excitation_and_noise_validation():
     assert ExcitationSpec.from_dict(spec.to_dict()) == spec
     with pytest.raises(ValueError, match="noise level"):
         NoiseConfig(sigma=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^sigma .* must be a finite nonnegative number"):
+            NoiseConfig(sigma=bad)
+    assert NoiseConfig(sigma=0.0).sigma == 0.0
 
 
 def test_excitation_rejects_bad_scales_and_empty_frequencies():

@@ -216,14 +216,21 @@ def test_singular_block_names_the_original_instant():
         with pytest.raises(SingularBlock) as info:
             cosmic_solve(assemble_stacked(ds), LambdaSchedule.scalar(1.0))
         assert info.value.instant == instant
-    # One rank-one sample at 1e9 makes instant 2's block singular beside
-    # lambda = 1e-3, while the other first-level pivots (0 and 4) are fine.
-    states = np.ones((6, 2))
-    states[2] = 1e9
-    ds = TrajectoryDataset.build(2, 0, [(states, None)])
-    with pytest.raises(SingularBlock) as info:
-        cosmic_solve(assemble_stacked(ds), LambdaSchedule.scalar(1e-3))
-    assert info.value.instant == 2
+    # Each rank-one sample at 1e9 makes its instant's block singular beside
+    # lambda = 1e-3, while the other pivots are fine.  Cyclic reduction
+    # names the smallest bad instant of its first failing level (the even
+    # instants first), SBCD the first bad instant in time order.
+    for bad, cosmic_instant, sbcd_instant in (((2,), 2, 2), ((2, 4), 2, 2), ((3, 4), 4, 3)):
+        states = np.ones((6, 2))
+        states[list(bad)] = 1e9
+        data = assemble_stacked(TrajectoryDataset.build(2, 0, [(states, None)]))
+        sched = LambdaSchedule.scalar(1e-3)
+        with pytest.raises(SingularBlock) as info:
+            cosmic_solve(data, sched)
+        assert info.value.instant == cosmic_instant
+        with pytest.raises(SingularBlock) as info:
+            sbcd_solve(data, sched)
+        assert info.value.instant == sbcd_instant
 
 
 def test_largest_accepted_lambda_does_not_overflow():
@@ -357,6 +364,9 @@ def test_multiply_count_depends_on_shapes_only():
     assert r1a.multiply_count > 0
     assert r1a.multiply_forward > 0
     assert r1a.multiply_backward > 0
+    s1, s2 = (sbcd_solve(data, sched, epsilon=1e-300, max_iters=2) for data in (data1, data2))
+    assert s1.iterations == s2.iterations == 2
+    assert s1.multiply_count == s2.multiply_count > 0
 
 
 def test_accounting_mode_matches_closed_form_count():
