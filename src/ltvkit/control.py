@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LtvModel
+from .core import LtvModel, _first_nonfinite
 from .sim import _step
 from .solvers import _cholesky_diagonals
 
@@ -92,7 +92,7 @@ class LqrWeights:
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Time-varying feedback gains K(k), with the Riccati solutions kept."""
+    """Time-varying finite feedback gains K(k), with the Riccati solutions kept."""
 
     K: Array           # (N, q, p)
     P: Optional[Array] = None  # (N+1, p, p)
@@ -101,6 +101,9 @@ class GainSchedule:
         object.__setattr__(self, "K", np.array(self.K, dtype=np.float64))
         if self.K.ndim != 3:
             raise ValueError("gain schedule must be an (N, q, p) array")
+        bad = _first_nonfinite(self.K)
+        if bad is not None:
+            raise ValueError(f"gains at instant {bad[0]} are not finite")
         if self.P is not None:
             object.__setattr__(self, "P", np.array(self.P, dtype=np.float64))
 
@@ -216,8 +219,8 @@ def lqr_synthesize(model: LtvModel, weights: Optional[LqrWeights] = None) -> Gai
     SingularInputCost(k) is raised when S(k) is not positive definite (for
     any q, including a 1x1 block); k is the largest such instant, the one
     where the step-by-step recursion stops, since the scan's P below it
-    need not mean anything.  A model or terminal cost that is not finite
-    raises ValueError.
+    need not mean anything.  A terminal cost that is not finite raises
+    ValueError; ``LtvModel`` already rejects a model that is not.
 
     The combine solves with I + C P where the recursion factors S, so when
     |B R^{-1} B^T| |P| is large the scan can lose about log10 of it in
@@ -228,8 +231,8 @@ def lqr_synthesize(model: LtvModel, weights: Optional[LqrWeights] = None) -> Gai
     p, q, n = model.p, model.q, model.N
     a_seq, b_seq = model.A_seq, model.B_seq
     terminal = weights.terminal_cost(p)
-    if not (np.isfinite(model.C).all() and np.isfinite(terminal).all()):
-        raise ValueError("LQR needs a finite model and a finite terminal cost")
+    if not np.isfinite(terminal).all():
+        raise ValueError("LQR needs a finite terminal cost")
 
     a = np.concatenate([a_seq, np.zeros((1, p, p))])
     c = np.concatenate([b_seq @ b_seq.mT / weights.r, np.zeros((1, p, p))])

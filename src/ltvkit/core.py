@@ -238,7 +238,7 @@ class StackedData:
 
 @dataclass(frozen=True)
 class LtvModel:
-    """A discrete-time LTV model stored as blocks C(k) = [A(k)^T; B(k)^T]."""
+    """A discrete-time LTV model stored as finite blocks C(k) = [A(k)^T; B(k)^T]."""
 
     p: int
     q: int
@@ -254,6 +254,9 @@ class LtvModel:
                 f"coefficient stack has shape {self.C.shape}, "
                 f"expected ({self.N}, {self.p + self.q}, {self.p})"
             )
+        bad = _first_nonfinite(self.C)
+        if bad is not None:
+            raise ValueError(f"model coefficients at instant {bad[0]} are not finite")
 
     def A(self, k: int) -> Array:
         """State matrix A(k), shape (p, p)."""

@@ -10,6 +10,7 @@ reports in accounting mode, and the error metrics used for validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -70,10 +71,13 @@ def covariance_sufficiency(dataset: TrajectoryDataset, tol: Optional[float] = No
     Each trajectory contributes Sigma_l = (1/N) sum_k z(k) z(k)^T over its
     samples z(k) = [x(k); u(k)], k = 0 .. N-1, and the check requires the
     sum of all Sigma_l to have its smallest eigenvalue above ``tol``
-    (default 1e-10 * trace / (p+q)).  A sufficient dataset guarantees the
-    fitting problem has a unique solution for any positive smoothness
-    schedule.
+    (default 1e-10 * trace / (p+q); a finite ``tol`` below the smallest
+    normal float is raised to it, a non-finite one raises ValueError).  A
+    sufficient dataset guarantees the fitting problem has a unique solution
+    for any positive smoothness schedule.
     """
+    if tol is not None and not math.isfinite(tol):
+        raise ValueError(f"tol must be a finite number, got {tol}")
     m = dataset.p + dataset.q
     sigmas = []
     sigma = np.zeros((m, m))

@@ -9,7 +9,8 @@ and right-hand sides Theta_k = D(k)^T Xnext(k)^T.  Three routes solve it:
   reduction, floor(log2 N) + 1 levels of batched block operations and as
   many batched back-substitution levels.
 * ``sbcd_solve``: stochastic block coordinate descent with exact block
-  minimization and incremental gradient bookkeeping.
+  minimization, i.e. randomized block Gauss-Seidel on the same system; it
+  evaluates the objective's ``gradient`` once per sweep to decide when to stop.
 * ``oracle_solve``: assembles the full dense normal matrix and solves it
   directly; intended as an independent reference, guarded by size.
 
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import LambdaSchedule, LtvModel, StackedData, _cost_and_gradient
+from .core import LambdaSchedule, LtvModel, StackedData, _cost_and_gradient, gradient
 from .diagnostics import predicted_multiply_count
 
 Array = np.ndarray
@@ -210,19 +211,6 @@ class _Counter:
         return n * n * rhs
 
 
-def _assemble(data: StackedData, sched: LambdaSchedule) -> tuple[Array, TridiagonalSystem]:
-    """The Gram blocks D(k)^T D(k) and the normal equations built on them."""
-    lam = sched.materialize(data.N)
-    dt = np.swapaxes(data.D, 1, 2)
-    gram = dt @ data.D
-    theta = dt @ np.swapaxes(data.Xnext, 1, 2)
-    shift = np.zeros(data.N)
-    shift[:-1] += lam
-    shift[1:] += lam
-    skk = gram + shift[:, None, None] * np.eye(data.width)
-    return gram, TridiagonalSystem(skk=skk, lam=lam, theta=theta)
-
-
 def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     """Assemble the block-tridiagonal normal equations of the objective.
 
@@ -231,7 +219,15 @@ def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     k = N-1; couplings are -lambda_k I; right-hand sides are D(k)^T Xnext(k)^T.
     Both are batched matmuls; numpy forms D^T D as a symmetric rank-k update.
     """
-    return _assemble(data, sched)[1]
+    lam = sched.materialize(data.N)
+    dt = np.swapaxes(data.D, 1, 2)
+    gram = dt @ data.D
+    theta = dt @ np.swapaxes(data.Xnext, 1, 2)
+    shift = np.zeros(data.N)
+    shift[:-1] += lam
+    shift[1:] += lam
+    skk = gram + shift[:, None, None] * np.eye(data.width)
+    return TridiagonalSystem(skk=skk, lam=lam, theta=theta)
 
 
 def _unstable(d: Array, diag: Array) -> Array:
@@ -431,23 +427,24 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
     (or from ``init`` when given), then repeatedly sweeps the instants in
     a fresh uniformly random order, replacing each block by its exact
     minimizer S_ii^{-1} (Theta_i + lambda_i C(i-1) + lambda_{i+1} C(i+1))
-    with the boundary terms dropped; the N inverses S_ii^{-1} are formed
-    once, in one batch checked by the closed-form route's pivot test.  The
-    gradient is maintained incrementally and its squared Frobenius norm is
-    tested once per sweep; the solve stops when it drops to ``epsilon`` or
-    after ``max_iters`` sweeps, and the report's ``converged`` flag records
-    which.
+    with the boundary terms dropped: randomized block Gauss-Seidel on the
+    normal equations of ``build_system``.  The N inverses S_ii^{-1} are
+    formed once, in one batch checked by the closed-form route's pivot
+    test.  Before the first sweep and after each one, the squared Frobenius
+    norm of the objective's ``gradient`` is evaluated; the solve stops when
+    it drops to ``epsilon`` or after ``max_iters`` sweeps, and the report's
+    ``converged`` flag records which.
 
     The RNG contract is: one ``default_rng(seed)`` stream, first the
     initial blocks, then one permutation per sweep, so equal seeds give
     bit-identical iterate sequences.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"stopping tolerance must be positive, got {epsilon}")
     if max_iters < 0:
         raise ValueError(f"sweep budget must be nonnegative, got {max_iters}")
     start = time.perf_counter()
-    gram, system = _assemble(data, sched)
+    system = build_system(data, sched)
     skk, lam, theta = system.skk, system.lam, system.theta
     n_blocks, m, p = theta.shape
 
@@ -462,16 +459,10 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
 
     sinv = _invert_pivots(skk, np.arange(n_blocks), counter.misc)
 
-    # gradient blocks, kept in two parts: fit part and smoothness part
-    gh = gram @ c - theta
-    w = lam[:, None, None] * (c[1:] - c[:-1])
-    gg = np.zeros_like(c)
-    gg[1:] += w
-    gg[:-1] -= w
-    counter.misc(n_blocks * m * m * p + (n_blocks - 1) * m * p)
-
     def grad_sq() -> float:
-        return float(np.sum((gh + gg) ** 2))
+        counter.misc(2 * n_blocks * data.L * m * p + (n_blocks - 1) * m * p)
+        grad = gradient(LtvModel(p=data.p, q=data.q, N=data.N, C=c), data, sched)
+        return float(np.linalg.norm(grad)) ** 2
 
     sweeps = 0
     converged = grad_sq() <= epsilon
@@ -483,17 +474,8 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
                 rhs += lam[i - 1] * c[i - 1]
             if i < n_blocks - 1:
                 rhs += lam[i] * c[i + 1]
-            new_block = sinv[i] @ rhs
-            delta = new_block - c[i]
-            c[i] = new_block
-            gh[i] += gram[i] @ delta
-            if i > 0:
-                gg[i - 1] -= lam[i - 1] * delta
-                gg[i] += lam[i - 1] * delta
-            if i < n_blocks - 1:
-                gg[i + 1] -= lam[i] * delta
-                gg[i] += lam[i] * delta
-        counter.misc(n_blocks * (_Counter.solve(m, p) + m * m * p + 4 * m * p))
+            c[i] = sinv[i] @ rhs
+        counter.misc(n_blocks * (_Counter.solve(m, p) + 2 * m * p))
         sweeps += 1
         converged = grad_sq() <= epsilon
     elapsed = time.perf_counter() - start

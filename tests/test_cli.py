@@ -143,6 +143,19 @@ def test_check_reports_sufficiency(tmp_path, capsys):
     assert json.loads(out_path.read_text()) == report
 
 
+def test_check_rejects_non_finite_tolerance(tmp_path, capsys):
+    data = write_json(tmp_path / "onehot.json", TrajectoryDataset.build(
+        1, 1, [([1.0, 0.0, 0.0], [0.0, 1.0])]).to_dict())
+    out_path = tmp_path / "report.json"
+    for tol in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "check", "--data", data, "--tol", tol,
+                             "--out", str(out_path))
+        assert code == 1
+        assert "tol" in err
+        assert out == ""
+        assert not out_path.exists()
+
+
 def test_check_flags_unexcited_dataset(tmp_path, capsys):
     config = write_json(tmp_path / "config.json",
                         {"smd": {"N": 10}, "L": 1, "noise": None,
@@ -189,6 +202,17 @@ def test_fit_sbcd_converges_to_same_cost(workdir, tmp_path, capsys):
     assert report["iterations"] > 1
     ref_cost = json.loads(out_ref)["final_cost"]
     assert abs(report["final_cost"] - ref_cost) <= 1e-6 * (1 + ref_cost)
+
+
+def test_fit_sbcd_rejects_nan_epsilon(workdir, tmp_path, capsys):
+    out_path = tmp_path / "sbcd.json"
+    code, out, err = run(capsys, "fit", "--data", str(workdir / "data.json"),
+                         "--lambda", "1", "--solver", "sbcd", "--epsilon", "nan",
+                         "--max-iters", "300", "--out", str(out_path))
+    assert code == 1
+    assert "stopping tolerance" in err
+    assert out == ""
+    assert not out_path.exists()
 
 
 def test_fit_accepts_schedule_files(workdir, tmp_path, capsys):
@@ -326,6 +350,22 @@ def test_eval_argument_errors(workdir, tmp_path, capsys):
     assert "nothing to evaluate" in err
 
 
+def test_eval_rejects_non_finite_models(workdir, tmp_path, capsys):
+    model = str(workdir / "model.json")
+    data = str(workdir / "data.json")
+    for bad in (float("nan"), float("inf")):
+        record = json.loads((workdir / "model.json").read_text())
+        record["C"][5][0][1] = bad
+        bad_model = write_json(tmp_path / "bad.json", record)
+        for argv in (("--model", model, "--truth", bad_model),
+                     ("--model", bad_model, "--truth", model),
+                     ("--model", bad_model, "--data", data, "--mode", "rollout")):
+            code, out, err = run(capsys, "eval", *argv)
+            assert code == 1
+            assert "instant 5 are not finite" in err
+            assert out == ""
+
+
 # ---------------------------------------------------------------- lqr + rollout
 
 
@@ -398,6 +438,26 @@ def test_rollout_noise_and_x0_parsing(plant_files, tmp_path, capsys):
         assert code == 1
         assert "sigma" in err
         assert not (tmp_path / "bad.csv").exists()
+
+
+def test_rollout_rejects_non_finite_plant_or_gains(plant_files, tmp_path, capsys):
+    plant = str(plant_files / "plant.json")
+    gains = str(plant_files / "gains.json")
+    out_path = tmp_path / "roll.csv"
+    for bad in (float("nan"), float("inf")):
+        record = json.loads((plant_files / "plant.json").read_text())
+        record["C"][7][1][0] = bad
+        bad_plant = write_json(tmp_path / "bad_plant.json", record)
+        record = json.loads((plant_files / "gains.json").read_text())
+        record["K"][7][0][1] = bad
+        bad_gains = write_json(tmp_path / "bad_gains.json", record)
+        for plant_arg, gains_arg in ((bad_plant, gains), (plant, bad_gains)):
+            code, out, err = run(capsys, "rollout", "--plant", plant_arg, "--gains",
+                                 gains_arg, "--x0", "1,0", "--out", str(out_path))
+            assert code == 1
+            assert "instant 7 are not finite" in err
+            assert out == ""
+            assert not out_path.exists()
 
 
 def test_lqr_rejects_non_finite_weights(plant_files, tmp_path, capsys):

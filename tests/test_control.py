@@ -204,6 +204,11 @@ def test_gain_schedule_serialization():
     assert "P" not in gains.to_dict()
     with pytest.raises(ValueError, match="malformed gain record"):
         GainSchedule.from_dict({"gains": []})
+    for bad in (np.nan, np.inf, -np.inf):
+        record = gains.to_dict()
+        record["K"][3][0][1] = bad
+        with pytest.raises(ValueError, match="gains at instant 3 are not finite"):
+            GainSchedule.from_dict(record)
 
 
 # ---------------------------------------------------------------- rollout

@@ -183,6 +183,15 @@ def test_model_validation_and_round_trip():
     assert np.array_equal(again.C, model.C)
     with pytest.raises(ValueError, match="malformed model"):
         LtvModel.from_dict({"p": 1})
+    for bad in (np.nan, np.inf, -np.inf):
+        c = model.C.copy()
+        c[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="instant 2 are not finite"):
+            LtvModel(p=1, q=2, N=3, C=c)
+        record = model.to_dict()
+        record["C"][1][0][0] = bad
+        with pytest.raises(ValueError, match="instant 1 are not finite"):
+            LtvModel.from_dict(record)
 
 
 # ---------------------------------------------------------------- schedules

@@ -24,6 +24,15 @@ def test_one_hot_covariance_is_half_identity():
     assert report.tolerance > 0
 
 
+def test_non_finite_tolerance_is_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            covariance_sufficiency(one_hot_dataset(), tol=bad)
+    tiny = float(np.finfo(np.float64).tiny)
+    for small in (0.0, -1.0):
+        assert covariance_sufficiency(one_hot_dataset(), tol=small).tolerance == tiny
+
+
 def test_zero_dataset_is_insufficient():
     ds = TrajectoryDataset.build(2, 0, [(np.zeros((4, 2)), None)])
     report = covariance_sufficiency(ds)
