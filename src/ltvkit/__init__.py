@@ -10,9 +10,9 @@ from .diagnostics import (MultiplyCount, SufficiencyReport, covariance_sufficien
                           predicted_multiply_count, rank_condition)
 from .sim import (ExcitationSpec, NoiseConfig, SmdConfig, generate_dataset,
                   simulate, smd_model)
-from .solvers import (SingularBlock, SingularSystem, SizeGuard, SolveOptions,
-                      SolveReport, SolverError, TridiagonalSystem, build_system,
-                      cosmic_solve, oracle_solve, sbcd_solve)
+from .solvers import (SingularBlock, SizeGuard, SolveOptions, SolveReport, SolverError,
+                      TridiagonalSystem, build_system, cosmic_solve, oracle_solve,
+                      sbcd_solve)
 
 __version__ = "0.1.0"
 
@@ -27,8 +27,8 @@ __all__ = [
     "rank_condition",
     "ExcitationSpec", "NoiseConfig", "SmdConfig", "generate_dataset",
     "simulate", "smd_model",
-    "SingularBlock", "SingularSystem", "SizeGuard", "SolveOptions",
-    "SolveReport", "SolverError", "TridiagonalSystem", "build_system",
-    "cosmic_solve", "oracle_solve", "sbcd_solve",
+    "SingularBlock", "SizeGuard", "SolveOptions", "SolveReport", "SolverError",
+    "TridiagonalSystem", "build_system", "cosmic_solve", "oracle_solve",
+    "sbcd_solve",
     "__version__",
 ]

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import (GainSchedule, LqrWeights, SingularInputCost,
-                      closed_loop_rollout, lqr_synthesize, tracking_stats)
+from .control import (GainSchedule, LqrWeights, closed_loop_rollout, lqr_synthesize,
+                      tracking_stats)
 from .core import LambdaSchedule, LtvModel, TrajectoryDataset, assemble_stacked
 from .diagnostics import covariance_sufficiency, estimation_error, prediction_error
-from .sim import ExcitationSpec, NoiseConfig, SmdConfig, generate_dataset, smd_model
-from .solvers import (SingularBlock, SingularSystem, SolveOptions, SolverError,
-                      cosmic_solve, oracle_solve, sbcd_solve)
+from .sim import (ExcitationSpec, NoiseConfig, SmdConfig, _integer, generate_dataset,
+                  smd_model)
+from .solvers import (SingularBlock, SizeGuard, SolveOptions, SolverError, cosmic_solve,
+                      oracle_solve, sbcd_solve)
 
 __all__ = ["BenchSpec", "SweepSpec", "main"]
 
@@ -163,14 +164,6 @@ class SweepSpec:
         return cls(**kwargs)
 
 
-def _load_dataset(path: str) -> TrajectoryDataset:
-    return TrajectoryDataset.from_dict(_read_json(path))
-
-
-def _load_model(path: str) -> LtvModel:
-    return LtvModel.from_dict(_read_json(path))
-
-
 def _schedule_from_args(args) -> LambdaSchedule:
     if args.lam is not None and args.lambda_file is not None:
         raise ValueError("give either --lambda or --lambda-file, not both")
@@ -185,14 +178,15 @@ def cmd_generate(args) -> int:
     cfg = _read_json(args.config) if args.config else {}
     _reject_unknown(cfg, {"smd", "L", "excitation", "noise", "seed"}, "generate config")
     smd = SmdConfig.from_dict(cfg.get("smd", {}))
-    L = int(cfg.get("L", 6))
+    L = _integer("L (trajectory count)", cfg.get("L", 6))
     excitation = ExcitationSpec.from_dict(cfg.get("excitation", {}))
     noise_cfg = cfg.get("noise", {})
     noise = None
     if noise_cfg is not None:
         _reject_unknown(noise_cfg, {"sigma", "seed"}, "noise config")
         noise = NoiseConfig(**noise_cfg)
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = _integer("seed", cfg.get("seed", 0))
+    seed = seed if args.seed is None else args.seed
 
     model = smd_model(smd)
     dataset = generate_dataset(model, L, excitation, noise, seed)
@@ -206,7 +200,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = TrajectoryDataset.from_dict(_read_json(args.data))
     report = covariance_sufficiency(dataset, tol=args.tol)
     if args.out:
         _write_json(args.out, report.to_dict(), indent=2)
@@ -231,19 +225,22 @@ def _lambda_hint(dataset, data, sched) -> str | None:
             f"the largest Gram diagonal entry {gram:.3g} - lower lambda")
 
 
+def _solve(solver, data, sched, accounting, epsilon, max_iters, seed, dense_limit):
+    if solver == "cosmic":
+        return cosmic_solve(data, sched, SolveOptions(accounting=accounting))
+    if solver == "sbcd":
+        return sbcd_solve(data, sched, epsilon=epsilon, max_iters=max_iters, seed=seed)
+    return oracle_solve(data, sched, dense_limit=dense_limit)
+
+
 def cmd_fit(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = TrajectoryDataset.from_dict(_read_json(args.data))
     data = assemble_stacked(dataset)
     sched = _schedule_from_args(args)
     try:
-        if args.solver == "cosmic":
-            report = cosmic_solve(data, sched, SolveOptions(accounting=args.accounting))
-        elif args.solver == "sbcd":
-            report = sbcd_solve(data, sched, epsilon=args.epsilon,
-                                max_iters=args.max_iters, seed=args.seed)
-        else:
-            report = oracle_solve(data, sched, dense_limit=args.dense_limit)
-    except (SingularBlock, SingularSystem) as exc:
+        report = _solve(args.solver, data, sched, args.accounting, args.epsilon,
+                        args.max_iters, args.seed, args.dense_limit)
+    except SingularBlock as exc:
         hint = _lambda_hint(dataset, data, sched)
         if hint is None:
             raise
@@ -256,12 +253,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model(args.model)
+    model = LtvModel.from_dict(_read_json(args.model))
     summary: dict = {"mode": args.mode}
     if args.truth:
-        summary["estimation_error"] = estimation_error(model, _load_model(args.truth))
+        truth = LtvModel.from_dict(_read_json(args.truth))
+        summary["estimation_error"] = estimation_error(model, truth)
     if args.data:
-        dataset = _load_dataset(args.data)
+        dataset = TrajectoryDataset.from_dict(_read_json(args.data))
         if not 0 <= args.trajectory < dataset.L:
             raise ValueError(f"trajectory index {args.trajectory} out of range 0..{dataset.L - 1}")
         errors = prediction_error(model, dataset.trajectories[args.trajectory], args.mode)
@@ -280,7 +278,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_lqr(args) -> int:
-    model = _load_model(args.model)
+    model = LtvModel.from_dict(_read_json(args.model))
     weights = LqrWeights(q_x=args.q_x, q_v=args.q_v, r=args.r)
     gains = lqr_synthesize(model, weights)
     _write_json(args.out, gains.to_dict())
@@ -289,7 +287,7 @@ def cmd_lqr(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    plant = _load_model(args.plant)
+    plant = LtvModel.from_dict(_read_json(args.plant))
     gains = GainSchedule.from_dict(_read_json(args.gains))
     try:
         x0 = np.array([float(v) for v in args.x0.split(",")])
@@ -327,27 +325,23 @@ def _bench_dataset(spec: BenchSpec, n: int) -> TrajectoryDataset:
 
 
 def cmd_bench(args) -> int:
+    """Median solve time, multiply count and cost per horizon and solver; an
+    oracle solve refused with SizeGuard gets the row ``skipped(size-guard)``."""
     spec = BenchSpec.from_dict(_read_json(args.spec))
     sched = LambdaSchedule.scalar(spec.lam)
     rows = []
     for n in spec.N_grid:
         data = assemble_stacked(_bench_dataset(spec, n))
         for solver in spec.solvers:
-            if solver == "oracle" and n * (spec.p + spec.q) > spec.dense_limit:
+            elapsed = []
+            try:
+                for _ in range(spec.repetitions):
+                    report = _solve(solver, data, sched, spec.accounting, spec.sbcd_epsilon,
+                                    spec.sbcd_max_iters, spec.seed, spec.dense_limit)
+                    elapsed.append(report.elapsed)
+            except SizeGuard:
                 rows.append([str(n), solver, "skipped(size-guard)", "", ""])
                 continue
-            elapsed = []
-            report = None
-            for _ in range(spec.repetitions):
-                if solver == "cosmic":
-                    report = cosmic_solve(data, sched,
-                                          SolveOptions(accounting=spec.accounting))
-                elif solver == "sbcd":
-                    report = sbcd_solve(data, sched, epsilon=spec.sbcd_epsilon,
-                                        max_iters=spec.sbcd_max_iters, seed=spec.seed)
-                else:
-                    report = oracle_solve(data, sched, dense_limit=spec.dense_limit)
-                elapsed.append(report.elapsed)
             rows.append([str(n), solver, _fmt(statistics.median(elapsed)),
                          str(report.multiply_count), _fmt(report.final_cost)])
     _write_csv(args.out, ["N", "solver", "median_elapsed_s", "multiply_count", "final_cost"],
@@ -469,11 +463,11 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (SingularBlock, SingularSystem) as exc:
+    except SingularBlock as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: {_COVARIANCE_HINT}", file=sys.stderr)
         return 2
-    except (SolverError, SingularInputCost) as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:

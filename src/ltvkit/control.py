@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import LtvModel, _first_nonfinite
 from .sim import _step
-from .solvers import _cholesky_diagonals
+from .solvers import SolverError, _cholesky_diagonals
 
 Array = np.ndarray
 
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-class SingularInputCost(Exception):
+class SingularInputCost(SolverError):
     """The input-cost term R + B^T P B lost positive definiteness."""
 
     def __init__(self, instant: int):
@@ -258,7 +258,8 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
     config is given), while the plant propagates the true state.  The
     reference defaults to zero, making this a regulation run.  Tracking
     errors are the Euclidean deviations of the position coordinates from
-    the reference at every instant.
+    the reference at every instant.  A non-finite initial state or
+    reference raises ValueError.
     """
     n, p, q = plant.N, plant.p, plant.q
     if gains.K.shape != (n, q, p):
@@ -266,9 +267,14 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
     ref = np.zeros((n + 1, p)) if reference is None else np.asarray(reference, dtype=np.float64)
     if ref.shape != (n + 1, p):
         raise ValueError(f"reference has shape {ref.shape}, expected ({n + 1}, {p})")
+    bad = _first_nonfinite(ref)
+    if bad is not None:
+        raise ValueError(f"reference state at instant {bad[0]} is not finite")
     x0 = ref[0] if x0 is None else np.asarray(x0, dtype=np.float64)
     if x0.shape != (p,):
         raise ValueError(f"initial state has shape {x0.shape}, expected ({p},)")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"initial state {x0.tolist()} is not finite")
 
     meas_noise = None
     if noise is not None and noise.sigma > 0.0:

@@ -34,6 +34,13 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value):
+    """``value`` if it is an integer; bools, floats and strings raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SmdConfig:
     """Spring-mass-damper with sinusoidally drifting coefficients.
@@ -58,8 +65,7 @@ class SmdConfig:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
-            raise ValueError(f"horizon N must be an integer, got {self.N!r}")
+        _integer("horizon N", self.N)
         if self.mass <= 0.0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.dt <= 0.0:
@@ -95,6 +101,7 @@ class NoiseConfig:
         if not (isinstance(self.sigma, numbers.Real) and 0.0 <= self.sigma < math.inf):
             raise ValueError(f"sigma (noise level) must be a finite nonnegative number, "
                              f"got {self.sigma!r}")
+        _integer("noise seed", self.seed)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import lapack
 
 from .core import LambdaSchedule, LtvModel, StackedData, _cost_and_gradient, gradient
 from .diagnostics import predicted_multiply_count
@@ -39,7 +39,6 @@ __all__ = [
     "SolveReport",
     "SolverError",
     "SingularBlock",
-    "SingularSystem",
     "SizeGuard",
     "build_system",
     "cosmic_solve",
@@ -58,34 +57,26 @@ _PIVOT_FLOOR = 1e-6
 
 
 class SolverError(Exception):
-    """Base class for numerical failures raised by the solvers."""
+    """Base of the numerical failures: SingularBlock, SizeGuard, control.SingularInputCost."""
 
 
 class SingularBlock(SolverError):
     """A pivot block of the block elimination is numerically singular.
 
-    ``instant`` is the original index of the failing pivot.  Cyclic
-    reduction eliminates instants in odd-even order: level 0 factors the
-    even instants 0, 2, 4, ..., level l the instants k with
-    k + 1 divisible by 2^l but not by 2^(l+1); the pivots of one level are
-    checked together and the smallest failing instant of the first failing
-    level is reported.  SBCD reports the first failing instant in time
-    order: it checks all N diagonal blocks S_kk in one batch before its
-    first sweep.  A pivot is singular when its Cholesky factorization fails
-    or, rescaled to unit diagonal, a squared Cholesky diagonal is at most
-    1e-6.
+    ``instant`` is the original index of the failing pivot, named in the
+    order each route eliminates.  Cyclic reduction goes odd-even: level 0
+    factors the even instants, level l the instants k with k + 1 divisible
+    by 2^l but not by 2^(l+1), and the smallest failing instant of the
+    first failing level is named.  SBCD names the first failing diagonal
+    block S_kk in time order, the oracle the first failing pivot of its
+    time-ordered dense elimination.  A pivot is singular when its Cholesky
+    factorization fails or, rescaled to unit diagonal, a squared Cholesky
+    diagonal is at most 1e-6.
     """
 
     def __init__(self, instant: int):
         self.instant = instant
         super().__init__(f"pivot block at instant {instant} is numerically singular")
-
-
-class SingularSystem(SolverError):
-    """The assembled dense normal matrix is numerically singular."""
-
-    def __init__(self, message: str = "normal equations are numerically singular"):
-        super().__init__(message)
 
 
 class SizeGuard(SolverError):
@@ -378,11 +369,13 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
                  dense_limit: int = 4000) -> SolveReport:
     """Assemble and solve the dense normal equations directly.
 
-    Independent reference route for the closed-form solver.  Refuses
-    systems larger than ``dense_limit`` rows with SizeGuard, and raises
-    SingularSystem when the dense Cholesky factorization fails or one of
-    its diagonal blocks, the factors of the block pivots in time order,
-    fails the pivot test of the closed-form route.
+    Independent reference route for the closed-form solver, and the
+    general-purpose baseline it is timed against.  Refuses systems larger
+    than ``dense_limit`` rows with SizeGuard.  One LAPACK Cholesky
+    factorization eliminates the instants in time order; its diagonal
+    blocks are the factors of the block pivots.  SingularBlock names the
+    first instant whose pivot fails the closed-form route's pivot test or
+    where the factorization stops.
     """
     start = time.perf_counter()
     n_blocks, m, p = data.N, data.width, data.p
@@ -393,28 +386,23 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
     counter = _Counter()
     counter.misc(n_blocks * data.L * m * (m + p))
 
-    full = np.zeros((size, size))
-    for k in range(n_blocks):
-        sl = slice(k * m, (k + 1) * m)
-        full[sl, sl] = system.skk[k]
-        if k > 0:
-            prev = slice((k - 1) * m, k * m)
-            full[sl, prev] = -system.lam[k - 1] * np.eye(m)
-            full[prev, sl] = -system.lam[k - 1] * np.eye(m)
-    rhs = system.theta.reshape(size, p)
-
-    try:
-        fac = cho_factor(full, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise SingularSystem() from None
-    blocks = fac[0].reshape(n_blocks, m, n_blocks, m).diagonal(axis1=0, axis2=2)
-    pivots = np.tril(np.moveaxis(blocks, -1, 0))
-    if _unstable(np.diagonal(pivots, axis1=-2, axis2=-1), np.sum(pivots * pivots, axis=-1)).any():
-        raise SingularSystem()
+    full = np.zeros((n_blocks, m, n_blocks, m))
+    k = np.arange(n_blocks)
+    coupling = -system.lam[:, None, None] * np.eye(m)
+    full[k, :, k, :] = system.skk
+    full[k[1:], :, k[:-1], :] = coupling
+    full[k[:-1], :, k[1:], :] = coupling
+    factor, info = lapack.dpotrf(full.reshape(size, size), lower=True, clean=False)
+    stop = n_blocks if info == 0 else (info - 1) // m
+    pivots = np.tril(factor.reshape(n_blocks, m, n_blocks, m)[k[:stop], :, k[:stop], :])
+    bad = _unstable(np.diagonal(pivots, axis1=-2, axis2=-1), np.sum(pivots * pivots, axis=-1))
+    bad = np.append(bad, stop < n_blocks)  # the instant where the factorization stopped
+    if bad.any():
+        raise SingularBlock(int(bad.argmax()))
     counter.misc(_Counter.chol(size) + _Counter.solve(size, p))
-    c = cho_solve(fac, rhs, check_finite=False).reshape(n_blocks, m, p)
+    c, _ = lapack.dpotrs(factor, system.theta.reshape(size, p), lower=True)
     elapsed = time.perf_counter() - start
-    model = LtvModel(p=data.p, q=data.q, N=data.N, C=c)
+    model = LtvModel(p=data.p, q=data.q, N=data.N, C=c.reshape(n_blocks, m, p))
     return _finish(model, data, sched, counter, elapsed, 1)
 
 

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from ltvkit import (LambdaSchedule, NoiseConfig, SingularBlock, SingularSystem,
+from ltvkit import (LambdaSchedule, NoiseConfig, SingularBlock,
                     SmdConfig, SolveOptions, TrajectoryDataset, assemble_stacked,
                     build_system, closed_loop_rollout, cosmic_solve, covariance_sufficiency,
                     estimation_error, generate_dataset, lqr_synthesize,
@@ -142,7 +142,7 @@ def test_criterion_06_rank_deficiency_is_detected():
         raised = False
         try:
             oracle_solve(assemble_stacked(ds), LambdaSchedule.scalar(1.0))
-        except (SingularSystem, SingularBlock):
+        except SingularBlock:
             raised = True
         insufficient = not covariance_sufficiency(ds).sufficient
         if raised or insufficient:

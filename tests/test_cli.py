@@ -128,6 +128,23 @@ def test_generate_rejects_non_finite_noise(tmp_path, capsys):
         assert not (tmp_path / "data.json").exists()
 
 
+def test_generate_rejects_non_integer_counts(tmp_path, capsys):
+    cases = [({"L": 2.7}, "L (trajectory count) must be an integer"),
+             ({"L": "3"}, "L (trajectory count) must be an integer"),
+             ({"L": True}, "L (trajectory count) must be an integer"),
+             ({"seed": 1.9}, "seed must be an integer"),
+             ({"seed": "1"}, "seed must be an integer"),
+             ({"noise": {"seed": 1.5}}, "noise seed must be an integer")]
+    for extra, message in cases:
+        config = write_json(tmp_path / "config.json", {"smd": {"N": 20}, **extra})
+        code, out, err = run(capsys, "generate", "--config", config,
+                             "--out", str(tmp_path / "data.json"))
+        assert code == 1
+        assert message in err
+        assert out == ""
+        assert not (tmp_path / "data.json").exists()
+
+
 # ---------------------------------------------------------------- check
 
 
@@ -249,6 +266,17 @@ def test_fit_insufficient_data_fails_with_hint(tmp_path, capsys):
     assert code == 2
     assert HINT in err
     assert _COVARIANCE_HINT == HINT
+
+
+def test_fit_oracle_names_the_singular_instant(tmp_path, capsys):
+    data = write_json(tmp_path / "zero.json", TrajectoryDataset.build(
+        1, 0, [([0.0, 0.0, 0.0], None)]).to_dict())
+    code, _, err = run(capsys, "fit", "--data", data, "--lambda", "1.0", "--solver", "oracle",
+                       "--out", str(tmp_path / "m.json"))
+    assert code == 2
+    assert "error: pivot block at instant 1 is numerically singular" in err
+    assert HINT in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_fit_solves_ill_scaled_data(workdir, tmp_path, capsys):
@@ -458,6 +486,25 @@ def test_rollout_rejects_non_finite_plant_or_gains(plant_files, tmp_path, capsys
             assert "instant 7 are not finite" in err
             assert out == ""
             assert not out_path.exists()
+
+
+def test_rollout_rejects_non_finite_x0_or_reference(plant_files, tmp_path, capsys):
+    plant = str(plant_files / "plant.json")
+    gains = str(plant_files / "gains.json")
+    out_path = tmp_path / "roll.csv"
+    states = [[0.0, 0.0]] * 101
+    states[30] = [float("nan"), 0.0]
+    bad_ref = write_json(tmp_path / "ref.json", {"states": states})
+    cases = [(["--x0=nan,0"], "initial state [nan, 0.0] is not finite"),
+             (["--x0=inf,0"], "initial state [inf, 0.0] is not finite"),
+             (["--x0=1,0", "--reference", bad_ref], "reference state at instant 30 is not finite")]
+    for extra, message in cases:
+        code, out, err = run(capsys, "rollout", "--plant", plant, "--gains", gains, *extra,
+                             "--out", str(out_path))
+        assert code == 1
+        assert message in err
+        assert out == ""
+        assert not out_path.exists()
 
 
 def test_lqr_rejects_non_finite_weights(plant_files, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ltvkit import (GainSchedule, LqrWeights, LtvModel, NoiseConfig,
-                    SingularInputCost, SmdConfig, closed_loop_rollout,
+                    SingularInputCost, SmdConfig, SolverError, closed_loop_rollout,
                     lqr_synthesize, position_coordinates, simulate, smd_model,
                     tracking_stats)
 
@@ -112,6 +112,10 @@ def test_negative_terminal_cost_is_rejected():
         with pytest.raises(SingularInputCost) as info:
             lqr_synthesize(model, LqrWeights(terminal=-10.0 * np.eye(q)))
         assert info.value.instant == 2, f"q={q}"
+
+
+def test_singular_input_cost_is_a_solver_error():
+    assert issubclass(SingularInputCost, SolverError)
 
 
 def assert_matches_loop(model, weights=None):
@@ -314,6 +318,20 @@ def test_rollout_validation():
         closed_loop_rollout(plant, gains, reference=np.zeros((10, 2)))
     with pytest.raises(ValueError, match="initial state has shape"):
         closed_loop_rollout(plant, gains, x0=[1.0, 2.0, 3.0])
+
+
+def test_rollout_rejects_non_finite_initial_state_or_reference():
+    plant = smd_model(SmdConfig(N=10))
+    gains = lqr_synthesize(plant)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^initial state .* is not finite"):
+            closed_loop_rollout(plant, gains, x0=[bad, 0.0])
+        reference = np.zeros((11, 2))
+        reference[4, 1] = bad
+        with pytest.raises(ValueError, match="^reference state at instant 4 is not finite"):
+            closed_loop_rollout(plant, gains, reference=reference, x0=[1.0, 0.0])
+        with pytest.raises(ValueError, match="^reference state at instant 4 is not finite"):
+            closed_loop_rollout(plant, gains, reference=reference)
 
 
 # ---------------------------------------------------------------- statistics

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ltvkit import (LambdaSchedule, LtvModel, SingularSystem, Trajectory,
+from ltvkit import (LambdaSchedule, LtvModel, SingularBlock, Trajectory,
                     TrajectoryDataset, assemble_stacked, covariance_sufficiency,
                     estimation_error, oracle_solve, prediction_error,
                     predicted_multiply_count, rank_condition, simulate)
@@ -96,8 +96,9 @@ def test_sufficiency_predicts_solver_outcome():
     oracle_solve(assemble_stacked(good), LambdaSchedule.scalar(0.1))
     bad = TrajectoryDataset.build(1, 0, [([0.0, 0.0, 0.0], None)])
     assert not covariance_sufficiency(bad).sufficient
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularBlock) as info:
         oracle_solve(assemble_stacked(bad), LambdaSchedule.scalar(0.1))
+    assert info.value.instant == 1
 
 
 def test_per_trajectory_breakdown_sums_to_total():

@@ -110,6 +110,10 @@ def test_excitation_and_noise_validation():
         with pytest.raises(ValueError, match="^sigma .* must be a finite nonnegative number"):
             NoiseConfig(sigma=bad)
     assert NoiseConfig(sigma=0.0).sigma == 0.0
+    for bad in (1.5, 2.0, "3", True, None):
+        with pytest.raises(ValueError, match="^noise seed must be an integer"):
+            NoiseConfig(seed=bad)
+    assert NoiseConfig(seed=np.int64(3)).seed == 3
 
 
 def test_excitation_rejects_bad_scales_and_empty_frequencies():

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ltvkit import (LambdaSchedule, LtvModel, NoiseConfig, SingularBlock,
-                    SingularSystem, SizeGuard, SmdConfig, SolveOptions, TrajectoryDataset,
+                    SizeGuard, SmdConfig, SolveOptions, TrajectoryDataset,
                     assemble_stacked, build_system, cosmic_solve, cost, generate_dataset,
                     gradient, oracle_solve, predicted_multiply_count, sbcd_solve, smd_model)
 
@@ -203,26 +203,36 @@ def test_singular_instances_are_reported():
     with pytest.raises(SingularBlock) as info:
         cosmic_solve(data, sched)
     assert info.value.instant == 1
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularBlock) as info:
         oracle_solve(data, sched)
+    assert info.value.instant == 1
 
 
 def test_singular_block_names_the_original_instant():
     """Zero data leave the lambda-weighted chain Laplacian, singular only in
     its last pivot.  Cyclic reduction eliminates that pivot last: at the
-    highest power of two not above N, minus one."""
+    highest power of two not above N, minus one.  The oracle eliminates in
+    time order, so its last pivot is instant N - 1."""
     for n, instant in ((2, 1), (3, 1), (4, 3), (5, 3), (7, 3), (8, 7), (9, 7), (17, 15)):
-        ds = TrajectoryDataset.build(1, 0, [(np.zeros(n + 1), None)])
+        data = assemble_stacked(TrajectoryDataset.build(1, 0, [(np.zeros(n + 1), None)]))
         with pytest.raises(SingularBlock) as info:
-            cosmic_solve(assemble_stacked(ds), LambdaSchedule.scalar(1.0))
+            cosmic_solve(data, LambdaSchedule.scalar(1.0))
         assert info.value.instant == instant
+        with pytest.raises(SingularBlock) as info:
+            oracle_solve(data, LambdaSchedule.scalar(1.0))
+        assert info.value.instant == n - 1
     # Each rank-one sample at 1e9 makes its instant's block singular beside
     # lambda = 1e-3, while the other pivots are fine.  Cyclic reduction
     # names the smallest bad instant of its first failing level (the even
-    # instants first), SBCD the first bad instant in time order.
-    for bad, cosmic_instant, sbcd_instant in (((2,), 2, 2), ((2, 4), 2, 2), ((3, 4), 4, 3)):
+    # instants first), SBCD and the oracle the first bad instant in time order.
+    # At 1e9 the oracle's factorization stops at that instant; at 1e3 it runs
+    # through and the pivot test flags instants 3 and 4; at 1e6 it flags 1
+    # and 3, then stops at 4.
+    for scale, bad, cosmic_instant, sbcd_instant, oracle_instant in (
+            (1e9, (2,), 2, 2, 2), (1e9, (2, 4), 2, 2, 2), (1e9, (3, 4), 4, 3, 3),
+            (1e3, (3, 4), 4, 3, 3), (1e6, (1, 3), 1, 1, 1)):
         states = np.ones((6, 2))
-        states[list(bad)] = 1e9
+        states[list(bad)] = scale
         data = assemble_stacked(TrajectoryDataset.build(2, 0, [(states, None)]))
         sched = LambdaSchedule.scalar(1e-3)
         with pytest.raises(SingularBlock) as info:
@@ -231,6 +241,9 @@ def test_singular_block_names_the_original_instant():
         with pytest.raises(SingularBlock) as info:
             sbcd_solve(data, sched)
         assert info.value.instant == sbcd_instant
+        with pytest.raises(SingularBlock) as info:
+            oracle_solve(data, sched)
+        assert info.value.instant == oracle_instant
 
 
 def test_largest_accepted_lambda_does_not_overflow():
