@@ -19,10 +19,10 @@ import numpy as np
 
 from .control import (GainSchedule, LqrWeights, closed_loop_rollout, lqr_synthesize,
                       tracking_stats)
-from .core import LambdaSchedule, LtvModel, TrajectoryDataset, assemble_stacked
+from .core import (LambdaSchedule, LtvModel, TrajectoryDataset, _array, _dataclass_record,
+                   _finite, _flag, _frozen_array, _integer, _record, assemble_stacked)
 from .diagnostics import covariance_sufficiency, estimation_error, prediction_error
-from .sim import (ExcitationSpec, NoiseConfig, SmdConfig, _integer, generate_dataset,
-                  smd_model)
+from .sim import ExcitationSpec, NoiseConfig, SmdConfig, generate_dataset, smd_model
 from .solvers import (SingularBlock, SizeGuard, SolveOptions, SolverError, cosmic_solve,
                       oracle_solve, sbcd_solve)
 
@@ -70,12 +70,6 @@ def _emit(args, obj) -> None:
         print(json.dumps(obj, indent=2))
 
 
-def _reject_unknown(obj: dict, allowed, what: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ValueError(f"{what}: unknown keys {unknown}")
-
-
 @dataclass(frozen=True)
 class BenchSpec:
     """Grid of timing runs: horizon values against one or more solvers."""
@@ -94,8 +88,13 @@ class BenchSpec:
     sbcd_max_iters: int = 10**6
 
     def __post_init__(self):
-        object.__setattr__(self, "N_grid", tuple(int(n) for n in self.N_grid))
-        object.__setattr__(self, "solvers", tuple(self.solvers))
+        object.__setattr__(self, "N_grid", _array("N_grid", self.N_grid, _integer))
+        object.__setattr__(self, "solvers", _array("solvers", self.solvers))
+        for name in ("repetitions", "p", "q", "L", "seed", "dense_limit", "sbcd_max_iters"):
+            _integer(name, getattr(self, name))
+        _finite("lambda", self.lam)
+        _finite("sbcd_epsilon", self.sbcd_epsilon)
+        _flag("accounting", self.accounting)
         if not self.N_grid or any(n < 2 for n in self.N_grid):
             raise ValueError("N_grid must list horizons of at least 2")
         if any(b <= a for a, b in zip(self.N_grid, self.N_grid[1:])):
@@ -114,15 +113,7 @@ class BenchSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BenchSpec":
-        _reject_unknown(obj, {"N_grid", "solvers", "repetitions", "p", "q", "L",
-                              "lambda", "seed", "accounting", "dense_limit",
-                              "sbcd_epsilon", "sbcd_max_iters"}, "bench spec")
-        kwargs = {k: v for k, v in obj.items() if k != "lambda"}
-        if "lambda" in obj:
-            kwargs["lam"] = obj["lambda"]
-        if "N_grid" not in kwargs:
-            raise ValueError("bench spec: N_grid is required")
-        return cls(**kwargs)
+        return cls(**_dataclass_record(cls, "bench spec", obj, {"lam": "lambda"}))
 
 
 @dataclass(frozen=True)
@@ -137,12 +128,15 @@ class SweepSpec:
     smd: SmdConfig = SmdConfig()
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
-        object.__setattr__(self, "sigma_grid", tuple(float(v) for v in self.sigma_grid))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "lambda_grid", _array("lambda_grid", self.lambda_grid, _finite))
+        object.__setattr__(self, "sigma_grid", tuple(
+            _finite("sigma (noise level)", v, nonnegative=True)
+            for v in _array("sigma_grid", self.sigma_grid)))
+        object.__setattr__(self, "seeds", _array("seeds", self.seeds, _integer))
+        _integer("L", self.L)
         if not self.lambda_grid or any(v <= 0.0 for v in self.lambda_grid):
             raise ValueError("lambda_grid must list positive weights")
-        if not self.sigma_grid or any(v < 0.0 for v in self.sigma_grid):
+        if not self.sigma_grid:
             raise ValueError("sigma_grid must list nonnegative noise levels")
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
@@ -153,14 +147,8 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepSpec":
-        _reject_unknown(obj, {"lambda_grid", "sigma_grid", "seeds", "metric", "L", "smd"},
-                        "sweep spec")
-        kwargs = dict(obj)
-        if "smd" in kwargs:
-            kwargs["smd"] = SmdConfig.from_dict(kwargs["smd"])
-        for key in ("lambda_grid", "sigma_grid"):
-            if key not in kwargs:
-                raise ValueError(f"sweep spec: {key} is required")
+        kwargs = _dataclass_record(cls, "sweep spec", obj)
+        kwargs["smd"] = SmdConfig.from_dict(kwargs.get("smd", {}))
         return cls(**kwargs)
 
 
@@ -175,16 +163,14 @@ def _schedule_from_args(args) -> LambdaSchedule:
 
 
 def cmd_generate(args) -> int:
-    cfg = _read_json(args.config) if args.config else {}
-    _reject_unknown(cfg, {"smd", "L", "excitation", "noise", "seed"}, "generate config")
+    cfg = _record("generate config", _read_json(args.config) if args.config else {},
+                  known=("smd", "L", "excitation", "noise", "seed"))
     smd = SmdConfig.from_dict(cfg.get("smd", {}))
     L = _integer("L (trajectory count)", cfg.get("L", 6))
     excitation = ExcitationSpec.from_dict(cfg.get("excitation", {}))
     noise_cfg = cfg.get("noise", {})
-    noise = None
-    if noise_cfg is not None:
-        _reject_unknown(noise_cfg, {"sigma", "seed"}, "noise config")
-        noise = NoiseConfig(**noise_cfg)
+    noise = (None if noise_cfg is None
+             else NoiseConfig(**_dataclass_record(NoiseConfig, "noise config", noise_cfg)))
     seed = _integer("seed", cfg.get("seed", 0))
     seed = seed if args.seed is None else args.seed
 
@@ -298,7 +284,7 @@ def cmd_rollout(args) -> int:
         ref_obj = _read_json(args.reference)
         if not isinstance(ref_obj, dict) or "states" not in ref_obj:
             raise ValueError(f"{args.reference}: reference file must carry a 'states' matrix")
-        reference = np.asarray(ref_obj["states"], dtype=np.float64)
+        reference = _frozen_array(ref_obj["states"], "reference states")
     noise = NoiseConfig(sigma=args.noise_sigma, seed=args.noise_seed)
     result = closed_loop_rollout(plant, gains, reference, x0, noise)
     if args.out:

@@ -9,12 +9,12 @@ estimated dynamics can be judged against the true system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import LtvModel, _first_nonfinite
+from .core import LtvModel, _first_nonfinite, _frozen_array, _record
 from .sim import _step
 from .solvers import SolverError, _cholesky_diagonals
 
@@ -116,10 +116,7 @@ class GainSchedule:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GainSchedule":
-        try:
-            return cls(K=np.asarray(obj["K"], dtype=np.float64))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed gain record: {exc}") from None
+        return cls(K=_frozen_array(_record("gain record", obj, ("K",))["K"], "gains"))
 
 
 @dataclass(frozen=True)
@@ -135,8 +132,7 @@ class TrackingStats:
     stddev: float
     sum_sq: float
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "stddev": self.stddev, "sum_sq": self.sum_sq}
+    to_dict = asdict
 
 
 def _solve_blocks(a: Array, b: Array) -> Array:

@@ -12,8 +12,9 @@ per-instant schedule lambda_k > 0.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,13 +34,80 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=np.float64) -> Array:
-    out = np.array(values, dtype=dtype, order="C")
+def _frozen_array(values, what: str = "values") -> Array:
+    """``values`` as a new read-only C-ordered float64 array; ValueError if not numeric."""
+    try:
+        out = np.array(values, dtype=np.float64, order="C")
+    except (ValueError, TypeError, OverflowError):
+        raise ValueError(f"{what} are not a numeric array") from None
     out.setflags(write=False)
     return out
 
 
-# The solvers square the smoothness weights; beyond this value the square overflows.
+# The rules every JSON record, config and spec is read by: objects, arrays,
+# integers, finite numbers and booleans.
+
+
+def _record(what: str, obj, required=(), known=None) -> dict:
+    """``obj`` if it is a JSON object holding every ``required`` key and, when
+    ``known`` is given, no other key; ValueError naming ``what`` otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed {what}: expected a JSON object, got {type(obj).__name__}")
+    unknown = [] if known is None else sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"malformed {what}: unknown keys {unknown}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"malformed {what}: {key} is required")
+    return obj
+
+
+def _dataclass_record(cls, what: str, obj, json_names=None) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from a JSON object with one
+    key per field, named as the field unless ``json_names`` maps it to another
+    key.  Unknown keys are rejected; fields without a default are required."""
+    by_key = {(json_names or {}).get(f.name, f.name): f for f in fields(cls)}
+    required = [key for key, f in by_key.items()
+                if f.default is MISSING and f.default_factory is MISSING]
+    _record(what, obj, required, known=by_key)
+    return {by_key[key].name: value for key, value in obj.items()}
+
+
+def _array(name: str, values, check=None) -> tuple:
+    """``values`` as a tuple if it is a JSON array (a list, tuple or numpy array),
+    each entry passed through ``check(f"{name} entry", entry)`` if given."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    return tuple(values if check is None else (check(f"{name} entry", v) for v in values))
+
+
+def _integer(name: str, value):
+    """``value`` if it is an integer; bools, floats and strings raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _finite(name: str, value, nonnegative: bool = False):
+    """``value`` if it is a real number of float64 range (and >= 0 when
+    ``nonnegative``); NaN, infinities, bools and strings raise ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max or (nonnegative and value < 0)):
+        kind = "finite nonnegative number" if nonnegative else "finite number"
+        raise ValueError(f"{name} must be a {kind}, got {value!r}")
+    return value
+
+
+def _flag(name: str, value) -> bool:
+    """``value`` if it is a bool; anything else, truthy or not, raises ValueError."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a boolean, got {value!r}")
+    return value
+
+
+# The largest smoothness weight whose square is finite.  Cyclic reduction
+# never forms lambda^2, but SBCD's stopping test sums the squares of a
+# gradient that grows with lambda, and overflows past this bound (at 1e160).
 _LAMBDA_MAX = math.sqrt(sys.float_info.max)
 
 
@@ -50,7 +118,8 @@ def _first_nonfinite(values: Array):
 
 
 def _check_weight(value) -> None:
-    if value is None or not math.isfinite(value) or value <= 0.0:
+    _finite("smoothness weight", value)
+    if value <= 0.0:
         raise ValueError(f"smoothness weight must be positive, got {value}")
     if value > _LAMBDA_MAX:
         raise ValueError(
@@ -59,19 +128,27 @@ def _check_weight(value) -> None:
         )
 
 
+def _breakpoint(name: str, entry) -> tuple[int, float]:
+    """A zoned schedule's [start instant, weight] pair, checked."""
+    pair = _array(name, entry)
+    if len(pair) != 2:
+        raise ValueError(f"{name} must be a [start instant, weight] pair, got {entry!r}")
+    _check_weight(pair[1])
+    return _integer(f"{name} start instant", pair[0]), pair[1]
+
+
 def _coerce_rows(values, width: int, name: str, traj: int) -> Array:
     """Convert a row sequence to a float64 matrix, naming ragged rows."""
     try:
-        arr = np.array(values, dtype=np.float64)
-    except (ValueError, TypeError):
-        for k, row in enumerate(values):
-            r = np.atleast_1d(np.asarray(row, dtype=np.float64))
-            if r.shape != (width,):
+        arr = _frozen_array(values, f"trajectory {traj}: {name}")
+    except ValueError:
+        for k, row in enumerate(values if isinstance(values, (list, tuple)) else ()):
+            if np.size(row) != width:
                 raise ValueError(
                     f"trajectory {traj}: {name} at instant {k} has "
-                    f"dimension {r.size}, expected {width}"
+                    f"dimension {np.size(row)}, expected {width}"
                 ) from None
-        raise ValueError(f"trajectory {traj}: {name} are not a numeric matrix") from None
+        raise
     if arr.ndim == 1 and width == 1:
         arr = arr[:, None]
     if arr.ndim == 1 and arr.size == 0:
@@ -175,11 +252,10 @@ class TrajectoryDataset:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrajectoryDataset":
-        try:
-            p, q, n = int(obj["p"]), int(obj["q"]), int(obj["N"])
-            records = obj["trajectories"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed dataset record: {exc}") from None
+        _record("dataset record", obj, ("p", "q", "N", "trajectories"))
+        p, q, n = (_integer(key, obj[key]) for key in ("p", "q", "N"))
+        records = [_record(f"trajectory {ell}", r, ("states", "inputs"))
+                   for ell, r in enumerate(_array("trajectories", obj["trajectories"]))]
         ds = cls.build(p, q, ((r["states"], r["inputs"]) for r in records))
         if ds.N != n:
             raise ValueError(f"dataset declares N={n} but trajectories carry N={ds.N}")
@@ -246,7 +322,7 @@ class LtvModel:
     C: Array  # (N, p+q, p)
 
     def __post_init__(self):
-        object.__setattr__(self, "C", _frozen_array(self.C))
+        object.__setattr__(self, "C", _frozen_array(self.C, "model coefficients"))
         if self.p < 1 or self.q < 0 or self.N < 1:
             raise ValueError(f"invalid model dimensions p={self.p}, q={self.q}, N={self.N}")
         if self.C.shape != (self.N, self.p + self.q, self.p):
@@ -298,11 +374,9 @@ class LtvModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LtvModel":
-        try:
-            return cls(p=int(obj["p"]), q=int(obj["q"]), N=int(obj["N"]),
-                       C=np.asarray(obj["C"], dtype=np.float64))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed model record: {exc}") from None
+        _record("model record", obj, ("p", "q", "N", "C"))
+        return cls(p=_integer("p", obj["p"]), q=_integer("q", obj["q"]),
+                   N=_integer("N", obj["N"]), C=obj["C"])
 
 
 @dataclass(frozen=True)
@@ -310,7 +384,8 @@ class LambdaSchedule:
     """Smoothness weights 0 < lambda_k <= sqrt(float max) for k = 1 .. N-1.
 
     The upper bound, about 1.34e154, is the largest weight whose square is
-    finite; the closed-form solver squares the weights.
+    finite.  Cyclic reduction never squares a weight, but SBCD's stopping
+    test overflows past the bound, so every route keeps it.
 
     Three variants: a single scalar applied uniformly, a zoned piecewise
     constant schedule given as (start_instant, value) breakpoints with the
@@ -326,47 +401,44 @@ class LambdaSchedule:
         if self.kind == "scalar":
             _check_weight(self.value)
         elif self.kind == "zoned":
-            if not self.zones:
+            zones = _array("zones", self.zones, _breakpoint)
+            if not zones:
                 raise ValueError("zoned schedule needs at least one breakpoint")
-            zones = tuple((int(k), float(v)) for k, v in self.zones)
             object.__setattr__(self, "zones", zones)
             if zones[0][0] != 1:
                 raise ValueError(f"zoned schedule must start at instant 1, got {zones[0][0]}")
             for (ka, _), (kb, _) in zip(zones, zones[1:]):
                 if kb <= ka:
                     raise ValueError("zoned schedule breakpoints must be strictly increasing")
-            for _, v in zones:
-                _check_weight(v)
         elif self.kind == "per_instant":
-            vals = _frozen_array(self.values)
+            vals = _frozen_array(self.values, "smoothness weights")
             object.__setattr__(self, "values", vals)
             if vals.ndim != 1 or vals.size == 0:
                 raise ValueError("per-instant schedule must be a nonempty vector")
-            if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-                raise ValueError("smoothness weights must all be positive")
-            if np.any(vals > _LAMBDA_MAX):
-                _check_weight(float(vals.max()))
+            bad = ~((vals > 0.0) & (vals <= _LAMBDA_MAX))
+            if bad.any():
+                _check_weight(float(vals[bad.argmax()]))
         else:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 
     @classmethod
     def scalar(cls, value: float) -> "LambdaSchedule":
-        return cls(kind="scalar", value=float(value))
+        return cls(kind="scalar", value=value)
 
     @classmethod
     def zoned(cls, zones: Sequence[tuple[int, float]]) -> "LambdaSchedule":
-        return cls(kind="zoned", zones=tuple(zones))
+        return cls(kind="zoned", zones=zones)
 
     @classmethod
     def per_instant(cls, values) -> "LambdaSchedule":
-        return cls(kind="per_instant", values=np.asarray(values, dtype=np.float64))
+        return cls(kind="per_instant", values=values)
 
     def materialize(self, N: int) -> Array:
         """Weights as a vector of length N-1; entry i holds lambda_{i+1}."""
         if N < 2:
             raise ValueError(f"horizon must be at least 2 transitions, got {N}")
         if self.kind == "scalar":
-            return np.full(N - 1, self.value)
+            return np.full(N - 1, self.value, dtype=np.float64)
         if self.kind == "zoned":
             out = np.empty(N - 1)
             starts = [k for k, _ in self.zones]
@@ -393,14 +465,11 @@ class LambdaSchedule:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LambdaSchedule":
-        keys = set(obj)
-        if keys == {"scalar"}:
-            return cls.scalar(obj["scalar"])
-        if keys == {"zones"}:
-            return cls.zoned([(k, v) for k, v in obj["zones"]])
-        if keys == {"per_instant"}:
-            return cls.per_instant(obj["per_instant"])
-        raise ValueError(f"schedule record must have exactly one of scalar/zones/per_instant, got {sorted(keys)}")
+        builders = {"scalar": cls.scalar, "zones": cls.zoned, "per_instant": cls.per_instant}
+        keys = sorted(_record("schedule record", obj))
+        if len(keys) != 1 or keys[0] not in builders:
+            raise ValueError(f"schedule record must have exactly one of scalar/zones/per_instant, got {keys}")
+        return builders[keys[0]](obj[keys[0]])
 
 
 def assemble_stacked(dataset: TrajectoryDataset) -> StackedData:

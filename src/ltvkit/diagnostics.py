@@ -10,13 +10,12 @@ reports in accounting mode, and the error metrics used for validation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import LtvModel, Trajectory, TrajectoryDataset
+from .core import LtvModel, Trajectory, TrajectoryDataset, _finite
 from .sim import simulate
 
 Array = np.ndarray
@@ -76,8 +75,8 @@ def covariance_sufficiency(dataset: TrajectoryDataset, tol: Optional[float] = No
     sufficient dataset guarantees the fitting problem has a unique solution
     for any positive smoothness schedule.
     """
-    if tol is not None and not math.isfinite(tol):
-        raise ValueError(f"tol must be a finite number, got {tol}")
+    if tol is not None:
+        _finite("tol", tol)
     m = dataset.p + dataset.q
     sigmas = []
     sigma = np.zeros((m, m))

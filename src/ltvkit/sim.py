@@ -13,14 +13,14 @@ for bit, which an associative scan, rounding differently, would not give.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
 
-from .core import LtvModel, Trajectory, TrajectoryDataset
+from .core import (LtvModel, Trajectory, TrajectoryDataset, _array, _dataclass_record, _finite,
+                   _flag, _integer)
 
 Array = np.ndarray
 
@@ -32,13 +32,6 @@ __all__ = [
     "simulate",
     "generate_dataset",
 ]
-
-
-def _integer(name: str, value):
-    """``value`` if it is an integer; bools, floats and strings raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -62,10 +55,9 @@ class SmdConfig:
 
     def __post_init__(self):
         for name in ("mass", "k0", "c0", "alpha_k", "alpha_c", "omega", "dt"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            _finite(name, getattr(self, name))
         _integer("horizon N", self.N)
+        _flag("ltv", self.ltv)
         if self.mass <= 0.0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.dt <= 0.0:
@@ -75,19 +67,11 @@ class SmdConfig:
         if self.N < 2:
             raise ValueError(f"horizon must be at least 2 steps, got {self.N}")
 
-    def to_dict(self) -> dict:
-        return {
-            "mass": self.mass, "k0": self.k0, "c0": self.c0,
-            "alpha_k": self.alpha_k, "alpha_c": self.alpha_c, "omega": self.omega,
-            "dt": self.dt, "N": self.N, "ltv": self.ltv,
-        }
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SmdConfig":
-        try:
-            return cls(**obj)
-        except TypeError as exc:
-            raise ValueError(f"malformed plant config: {exc}") from None
+        return cls(**_dataclass_record(cls, "plant config", obj))
 
 
 @dataclass(frozen=True)
@@ -98,9 +82,7 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.sigma, numbers.Real) and 0.0 <= self.sigma < math.inf):
-            raise ValueError(f"sigma (noise level) must be a finite nonnegative number, "
-                             f"got {self.sigma!r}")
+        _finite("sigma (noise level)", self.sigma, nonnegative=True)
         _integer("noise seed", self.seed)
 
 
@@ -127,29 +109,16 @@ class ExcitationSpec:
         if self.inputs not in ("zero", "white", "sinusoids"):
             raise ValueError(f"input law must be zero/white/sinusoids, got {self.inputs!r}")
         for name in ("x0_scale", "input_scale"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0.0 <= value < math.inf):
-                raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
-        object.__setattr__(self, "frequencies", tuple(float(f) for f in self.frequencies))
+            _finite(name, getattr(self, name), nonnegative=True)
+        object.__setattr__(self, "frequencies", _array("frequencies", self.frequencies, _finite))
         if self.inputs == "sinusoids" and not self.frequencies:
             raise ValueError("frequencies must list at least one frequency for sinusoidal inputs")
 
-    def to_dict(self) -> dict:
-        return {
-            "x0": self.x0, "x0_scale": self.x0_scale,
-            "inputs": self.inputs, "input_scale": self.input_scale,
-            "frequencies": list(self.frequencies),
-        }
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExcitationSpec":
-        known = dict(obj)
-        if "frequencies" in known:
-            known["frequencies"] = tuple(known["frequencies"])
-        try:
-            return cls(**known)
-        except TypeError as exc:
-            raise ValueError(f"malformed excitation config: {exc}") from None
+        return cls(**_dataclass_record(cls, "excitation config", obj))
 
 
 def smd_model(config: SmdConfig) -> LtvModel:

@@ -611,6 +611,81 @@ def test_sweep_spec_validation(tmp_path, capsys):
         assert not (tmp_path / "s.csv").exists()
 
 
+# ---------------------------------------------------------------- input rules
+
+_BENCH = {"N_grid": [10], "repetitions": 1}
+_SWEEP = {"lambda_grid": [1.0], "sigma_grid": [0.0], "seeds": [0], "smd": {"N": 10}}
+
+
+def run_input(capsys, workdir, tmp_path, kind, record):
+    """Run the command that reads ``record`` as its ``kind`` of input; a
+    dataset (``data``) or model is a one-state record with ``record``'s
+    keys replaced."""
+    out = tmp_path / "out"
+    if kind == "data":
+        base = TrajectoryDataset.build(1, 1, [([[0.1], [0.4], [0.2]], [[1.0], [-1.0]]),
+                                              ([[0.3], [0.1], [0.5]], [[0.5], [2.0]])])
+        record = {**base.to_dict(), **record}
+    if kind == "model":
+        record = {**LtvModel.constant([[0.9]], [[0.5]], 4).to_dict(), **record}
+    path = write_json(tmp_path / "input.json", record)
+    argv = {"bench": ["bench", "--spec", path],
+            "sweep": ["sweep", "--spec", path],
+            "generate": ["generate", "--config", path],
+            "data": ["fit", "--data", path, "--lambda", "1"],
+            "model": ["lqr", "--model", path],
+            "lambda": ["fit", "--data", str(workdir / "data.json"), "--lambda-file", path]}[kind]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    return code, stdout, err, out.exists()
+
+
+# Each of these once escaped ``main`` as an uncaught TypeError.
+_ILL_TYPED = [
+    ("bench", {**_BENCH, "repetitions": 1.5}, "repetitions must be an integer"),
+    ("bench", {**_BENCH, "p": 2.5}, "p must be an integer"),
+    ("bench", {**_BENCH, "seed": 1.5}, "seed must be an integer"),
+    ("bench", {**_BENCH, "lambda": "1e-3"}, "lambda must be a finite number"),
+    ("bench", {**_BENCH, "N_grid": 10}, "N_grid must be a list"),
+    ("bench", {**_BENCH, "solvers": ["sbcd"], "sbcd_epsilon": "x"},
+     "sbcd_epsilon must be a finite number"),
+    ("sweep", {**_SWEEP, "L": 2.5}, "L must be an integer"),
+    ("sweep", {**_SWEEP, "lambda_grid": 1.0}, "lambda_grid must be a list"),
+    ("data", {"trajectories": 5}, "trajectories must be a list"),
+    ("data", {"trajectories": [5]}, "trajectory 0: expected a JSON object"),
+    ("lambda", {"zones": 5}, "zones must be a list"),
+    ("lambda", {"zones": [[1, None]]}, "smoothness weight must be a finite number"),
+    ("lambda", {"scalar": None}, "smoothness weight must be a finite number"),
+    ("lambda", {"scalar": [1]}, "smoothness weight must be a finite number"),
+]
+# Each of these was once truncated, parsed from a string, taken as a truthy
+# flag or split into characters, and the command ran on.
+_COERCIBLE = [
+    ("bench", {**_BENCH, "N_grid": [10.9, 20]}, "N_grid entry must be an integer"),
+    ("sweep", {**_SWEEP, "seeds": [0.5]}, "seeds entry must be an integer"),
+    ("data", {"N": 2.9}, "N must be an integer"),
+    ("data", {"p": "1"}, "p must be an integer"),
+    ("data", {"p": True}, "p must be an integer"),
+    ("model", {"p": "1"}, "p must be an integer"),
+    ("lambda", {"zones": [[1.9, 1e8]]}, "zones entry start instant must be an integer"),
+    ("lambda", {"zones": [["1", 1e8]]}, "zones entry start instant must be an integer"),
+    ("lambda", {"scalar": "1e5"}, "smoothness weight must be a finite number"),
+    ("lambda", {"scalar": True}, "smoothness weight must be a finite number"),
+    ("bench", {**_BENCH, "solvers": "cosmic"}, "solvers must be a list"),
+    ("generate", {"smd": {"N": 10, "ltv": "no"}}, "ltv must be a boolean"),
+    ("bench", {**_BENCH, "accounting": "no"}, "accounting must be a boolean"),
+]
+
+
+@pytest.mark.parametrize("kind, record, needle", _ILL_TYPED + _COERCIBLE)
+def test_malformed_inputs_exit_1_naming_the_field(workdir, tmp_path, capsys, kind, record,
+                                                  needle):
+    code, out, err, written = run_input(capsys, workdir, tmp_path, kind, record)
+    assert code == 1
+    assert needle in err
+    assert out == ""
+    assert not written
+
+
 # ---------------------------------------------------------------- file format
 
 

@@ -10,17 +10,20 @@ weights from 1e-3 to 1e3.  The control instances are random drifting plants
 with N from 1 to 70 on the same weighting, p from 1 to 4, q from 0 to 3,
 A0's spectral norm from 0.1 to 1.5 and LQR weights from 1e-3 to 1e3,
 checked against the step-by-step Riccati recursion to a tolerance scaled
-by the conditioning of the two routes (see the test).  Hypothesis runs
-derandomized and without an example database, so every run checks the
-same examples.
+by the conditioning of the two routes (see the test).  The JSON loaders
+get records whose keys are their own and whose values are mostly plausible,
+otherwise any JSON value.  Hypothesis runs derandomized and without an
+example database, so every run checks the same examples.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ltvkit import (LambdaSchedule, LqrWeights, assemble_stacked, cosmic_solve,
+from ltvkit import (ExcitationSpec, GainSchedule, LambdaSchedule, LqrWeights, LtvModel,
+                    SmdConfig, TrajectoryDataset, assemble_stacked, cosmic_solve,
                     lqr_synthesize, oracle_solve)
+from ltvkit.cli import BenchSpec, SweepSpec
 
 from _cases import (dense_reference_solution, drifting_plant, random_dataset, relative_gap,
                     riccati_loop)
@@ -100,3 +103,73 @@ def test_riccati_scan_matches_step_by_step_recursion(instance):
     if model.q:
         s = weights.input_cost(model.q) + b.mT @ p_ref[1:] @ b
         assert relative_gap(gains.K, k_ref) <= tol * float(np.max(np.linalg.cond(s)))
+
+
+
+# JSON values of every kind: NaN and infinities, integers beyond float range,
+# numeric strings and booleans where numbers belong, and nested arrays and objects.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(["", "1", "cosmic"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=12)
+_INT = st.integers(-2, 8)
+_NUM = _INT | st.floats()
+
+
+def _nested(depth):
+    values = _NUM
+    for _ in range(depth):
+        values = st.lists(values, max_size=4)
+    return values
+
+
+def _records(required, optional=None):
+    """JSON objects with the required keys and some of the optional ones;
+    each value is mostly plausible for its key and otherwise any JSON value."""
+    def value(plausible):
+        return st.one_of(plausible, plausible, plausible, _JSON)
+    return st.fixed_dictionaries({k: value(v) for k, v in required.items()},
+                                 optional={k: value(v) for k, v in (optional or {}).items()})
+
+
+_SMD = {"mass": _NUM, "k0": _NUM, "c0": _NUM, "alpha_k": _NUM, "alpha_c": _NUM, "omega": _NUM,
+        "dt": _NUM, "N": _INT, "ltv": st.booleans()}
+_LOADERS = [
+    (TrajectoryDataset.from_dict,
+     _records({"p": _INT, "q": _INT, "N": _INT, "trajectories": st.lists(
+         _records({"states": _nested(2), "inputs": _nested(2)}), max_size=3)})),
+    (LtvModel.from_dict, _records({"p": _INT, "q": _INT, "N": _INT, "C": _nested(3)})),
+    (GainSchedule.from_dict, _records({"K": _nested(3)})),
+    (LambdaSchedule.from_dict,
+     _records({}, {"scalar": _NUM, "per_instant": _nested(1),
+                   "zones": st.lists(st.lists(_NUM, max_size=3), max_size=3)})),
+    (SmdConfig.from_dict, _records({}, _SMD)),
+    (ExcitationSpec.from_dict,
+     _records({}, {"x0": st.sampled_from(["uniform", "gaussian"]), "x0_scale": _NUM,
+                   "inputs": st.sampled_from(["zero", "white", "sinusoids"]),
+                   "input_scale": _NUM, "frequencies": _nested(1)})),
+    (BenchSpec.from_dict,
+     _records({"N_grid": st.lists(_INT, max_size=3)},
+              {"solvers": st.lists(st.sampled_from(["cosmic", "sbcd", "oracle"]), max_size=3),
+               "repetitions": _INT, "p": _INT, "q": _INT, "L": _INT, "seed": _INT,
+               "dense_limit": _INT, "sbcd_max_iters": _INT, "sbcd_epsilon": _NUM,
+               "lambda": _NUM, "accounting": st.booleans()})),
+    (SweepSpec.from_dict,
+     _records({"lambda_grid": _nested(1), "sigma_grid": _nested(1)},
+              {"seeds": st.lists(_INT, max_size=3), "L": _INT, "smd": _records({}, _SMD),
+               "metric": st.sampled_from(["estimation", "prediction"])})),
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(st.one_of(*(st.tuples(st.just(load), records | _JSON) for load, records in _LOADERS)))
+def test_loaders_return_an_instance_or_raise_value_error(case):
+    """Each JSON loader builds its object or raises ValueError, never another
+    exception, whatever JSON value it is given.  Only loaders run, so every
+    allocation is bounded by the (small) generated values."""
+    load, obj = case
+    try:
+        load(obj)
+    except ValueError:
+        pass
