@@ -37,9 +37,12 @@ __all__ = [
 def _frozen_array(values, what: str = "values") -> Array:
     """``values`` as a new read-only C-ordered float64 array; ValueError if not numeric."""
     try:
-        out = np.array(values, dtype=np.float64, order="C")
-    except (ValueError, TypeError, OverflowError):
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "iuf":
+            raise TypeError(arr.dtype)
+    except (ValueError, TypeError):  # ragged rows; strings, booleans or None as entries
         raise ValueError(f"{what} are not a numeric array") from None
+    out = arr.astype(np.float64, order="C", copy=isinstance(values, np.ndarray))
     out.setflags(write=False)
     return out
 

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (LtvModel, Trajectory, TrajectoryDataset, _array, _dataclass_record, _finite,
                    _flag, _integer)
@@ -129,6 +128,7 @@ def smd_model(config: SmdConfig) -> LtvModel:
     batched ``expm`` call, so A(k) and B(k) realize an exact zero-order-hold
     step of the frozen dynamics.
     """
+    from scipy.linalg import expm  # deferred so that `import ltvkit` does not load scipy
     t = np.arange(config.N) * config.dt if config.ltv else np.zeros(config.N)
     drift = np.sin(config.omega * t)
     kt = config.k0 * (1.0 + config.alpha_k * drift)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .core import LambdaSchedule, LtvModel, StackedData, _cost_and_gradient, gradient
 from .diagnostics import predicted_multiply_count
@@ -377,6 +376,7 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
     first instant whose pivot fails the closed-form route's pivot test or
     where the factorization stops.
     """
+    from scipy.linalg import lapack  # deferred as in sim.smd_model; outside the timed part
     start = time.perf_counter()
     n_blocks, m, p = data.N, data.width, data.p
     size = n_blocks * m

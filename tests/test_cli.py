@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -626,15 +629,18 @@ def run_input(capsys, workdir, tmp_path, kind, record):
         base = TrajectoryDataset.build(1, 1, [([[0.1], [0.4], [0.2]], [[1.0], [-1.0]]),
                                               ([[0.3], [0.1], [0.5]], [[0.5], [2.0]])])
         record = {**base.to_dict(), **record}
+    model = LtvModel.constant([[0.9]], [[0.5]], 4).to_dict()
     if kind == "model":
-        record = {**LtvModel.constant([[0.9]], [[0.5]], 4).to_dict(), **record}
+        record = {**model, **record}
     path = write_json(tmp_path / "input.json", record)
+    plant = write_json(tmp_path / "plant.json", model)
     argv = {"bench": ["bench", "--spec", path],
             "sweep": ["sweep", "--spec", path],
             "generate": ["generate", "--config", path],
             "data": ["fit", "--data", path, "--lambda", "1"],
             "model": ["lqr", "--model", path],
-            "lambda": ["fit", "--data", str(workdir / "data.json"), "--lambda-file", path]}[kind]
+            "lambda": ["fit", "--data", str(workdir / "data.json"), "--lambda-file", path],
+            "gains": ["rollout", "--plant", plant, "--gains", path, "--x0", "0.1"]}[kind]
     code, stdout, err = run(capsys, *argv, "--out", str(out))
     return code, stdout, err, out.exists()
 
@@ -674,9 +680,22 @@ _COERCIBLE = [
     ("generate", {"smd": {"N": 10, "ltv": "no"}}, "ltv must be a boolean"),
     ("bench", {**_BENCH, "accounting": "no"}, "accounting must be a boolean"),
 ]
+# Each of these once loaded as numbers: numpy read "1e5" as 1e5, true as 1.0
+# and null as nan.
+_NON_NUMERIC_ARRAYS = [
+    (kind, record(entry), needle)
+    for kind, record, needle in [
+        ("lambda", lambda e: {"per_instant": [e] * 11},
+         "smoothness weights are not a numeric array"),
+        ("data", lambda e: {"trajectories": [{"states": [[e]] * 3, "inputs": [[1.0], [-1.0]]}]},
+         "trajectory 0: states are not a numeric array"),
+        ("gains", lambda e: {"K": [[[e]]] * 4}, "gains are not a numeric array"),
+    ]
+    for entry in ("1e5", True, None)
+]
 
 
-@pytest.mark.parametrize("kind, record, needle", _ILL_TYPED + _COERCIBLE)
+@pytest.mark.parametrize("kind, record, needle", _ILL_TYPED + _COERCIBLE + _NON_NUMERIC_ARRAYS)
 def test_malformed_inputs_exit_1_naming_the_field(workdir, tmp_path, capsys, kind, record,
                                                   needle):
     code, out, err, written = run_input(capsys, workdir, tmp_path, kind, record)
@@ -759,3 +778,46 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--data", str(bad))
     assert code == 1
     assert "not valid JSON" in err
+
+
+# ---------------------------------------------------------------- start-up
+
+# ``tests/_cases.py`` loads scipy into this process, so each check runs in a
+# fresh interpreter.
+_IMPORTS = """
+import sys
+import ltvkit
+assert "scipy" not in sys.modules, "import ltvkit loaded scipy"
+import ltvkit.cli
+assert "scipy" not in sys.modules, "import ltvkit.cli loaded scipy"
+"""
+_COMMANDS = """
+import json, sys
+from ltvkit.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def run_fresh(script, *args):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_scipy_loads_only_for_the_commands_that_use_it(workdir, tmp_path):
+    """Importing ltvkit or its CLI, and the check, fit, eval, lqr and rollout
+    commands, leave scipy unloaded; only smd_model and the oracle load it."""
+    done = run_fresh(_IMPORTS)
+    assert done.returncode == 0, done.stderr
+
+    f = lambda name: str(tmp_path / name)  # noqa: E731
+    data, truth = str(workdir / "data.json"), str(workdir / "model.json")
+    argvs = [["check", "--data", data],
+             ["fit", "--data", data, "--lambda", "1", "--out", f("model.json")],
+             ["eval", "--model", f("model.json"), "--data", data, "--truth", truth],
+             ["lqr", "--model", f("model.json"), "--out", f("gains.json")],
+             ["rollout", "--plant", truth, "--gains", f("gains.json"), "--x0", "1,-0.5"]]
+    done = run_fresh(_COMMANDS, json.dumps([argv + ["--quiet"] for argv in argvs]))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0] * 5, "scipy": False}
