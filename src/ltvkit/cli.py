@@ -281,9 +281,7 @@ def cmd_rollout(args) -> int:
         raise ValueError(f"--x0 must be comma-separated numbers, got {args.x0!r}") from None
     reference = None
     if args.reference:
-        ref_obj = _read_json(args.reference)
-        if not isinstance(ref_obj, dict) or "states" not in ref_obj:
-            raise ValueError(f"{args.reference}: reference file must carry a 'states' matrix")
+        ref_obj = _record("reference record", _read_json(args.reference), ("states",))
         reference = _frozen_array(ref_obj["states"], "reference states")
     noise = NoiseConfig(sigma=args.noise_sigma, seed=args.noise_seed)
     result = closed_loop_rollout(plant, gains, reference, x0, noise)

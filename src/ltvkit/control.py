@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import LtvModel, _first_nonfinite, _frozen_array, _record
 from .sim import _step
-from .solvers import SolverError, _cholesky_diagonals
+from .solvers import SolverError, _cholesky
 
 Array = np.ndarray
 
@@ -238,7 +238,7 @@ def lqr_synthesize(model: LtvModel, weights: Optional[LqrWeights] = None) -> Gai
 
     pb = ric[1:] @ b_seq
     s = _sym(weights.input_cost(q) + b_seq.mT @ pb)
-    failed = ~np.isfinite(_cholesky_diagonals(s)).all(axis=-1)
+    failed = ~np.isfinite(np.diagonal(_cholesky(s), axis1=-2, axis2=-1)).all(axis=-1)
     if failed.any():
         raise SingularInputCost(int(np.flatnonzero(failed)[-1]))
     gains = np.linalg.solve(s, pb.mT @ a_seq)

@@ -15,6 +15,7 @@ import math
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, fields
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,10 +35,30 @@ __all__ = [
 ]
 
 
+def _list_array(values: list) -> Array:
+    """A nested list as an array built from its flattened entries.
+
+    The entries are checked one by one on the way: numpy would read a
+    boolean among numbers as 0 or 1, so one raises TypeError.  Ragged
+    nesting raises ValueError or TypeError.
+    """
+    shape, flat = [len(values)], values
+    while flat and isinstance(flat[0], list):
+        widths = set(map(len, flat))
+        if len(widths) != 1:
+            raise ValueError("ragged nesting")
+        shape.append(widths.pop())
+        flat = list(chain.from_iterable(flat))
+    if bool in set(map(type, flat)):
+        raise TypeError(bool)
+    arr = np.array(flat)
+    return arr.reshape(shape + list(arr.shape[1:]))
+
+
 def _frozen_array(values, what: str = "values") -> Array:
     """``values`` as a new read-only C-ordered float64 array; ValueError if not numeric."""
     try:
-        arr = np.asarray(values)
+        arr = _list_array(values) if isinstance(values, list) else np.asarray(values)
         if arr.dtype.kind not in "iuf":
             raise TypeError(arr.dtype)
     except (ValueError, TypeError):  # ragged rows; strings, booleans or None as entries

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from ltvkit import (LambdaSchedule, LtvModel, NoiseConfig, SingularBlock,
                     SizeGuard, SmdConfig, SolveOptions, TrajectoryDataset,
                     assemble_stacked, build_system, cosmic_solve, cost, generate_dataset,
-                    gradient, oracle_solve, predicted_multiply_count, sbcd_solve, smd_model)
+                    gradient, oracle_solve, predicted_multiply_count, sbcd_solve, smd_model,
+                    solvers)
 
 from _cases import (ILL_SCALED_SCHEDULES, confined_dataset, dense_normal_matrix,
                     dense_reference_solution, drifting_plant, hand_instance,
@@ -263,12 +264,15 @@ def test_largest_accepted_lambda_does_not_overflow():
     assert np.all(np.isfinite(report.model.C))
 
 
-def test_rank_deficient_data_always_raise_singular_block():
+def test_rank_deficient_data_always_raise_singular_block(monkeypatch):
     """Confined data leave the whole normal matrix singular, whatever lambda.
 
     Kept case 166 (p = 3, q = 0, N = 5) at lambda = 1e-3 has a pivot with
     Cholesky diagonals about (1.87, 1.29, 2.98e-8): spread by less than
     sqrt(1/eps), yet singular enough that np.linalg.inv raises LinAlgError.
+    The long horizons after the family invert their first levels' pivots
+    from the Cholesky factors and fail at a deeper level, at the instant
+    that inverting every batch by np.linalg.inv names.
     """
     rng = np.random.default_rng(12345)
     family = []
@@ -284,6 +288,17 @@ def test_rank_deficient_data_always_raise_singular_block():
         for lam in (1e-3, 1.0, 1e3):
             with pytest.raises(SingularBlock):
                 cosmic_solve(data, LambdaSchedule.scalar(lam))
+    for p, q, n in ((1, 1, 128), (2, 1, 200), (3, 0, 131), (2, 2, 257), (8, 4, 160)):
+        assert n >= 2 * solvers._FACTOR_INVERSE_MIN
+        data = assemble_stacked(confined_dataset(rng, p, q, n, p + q + 2))
+        for lam in (1e-3, 1.0, 1e3):
+            with pytest.raises(SingularBlock) as factor_route:
+                cosmic_solve(data, LambdaSchedule.scalar(lam))
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_FACTOR_INVERSE_MIN", sys.maxsize)
+                with pytest.raises(SingularBlock) as inv_route:
+                    cosmic_solve(data, LambdaSchedule.scalar(lam))
+            assert factor_route.value.instant == inv_route.value.instant
 
 
 def test_oracle_size_guard():
@@ -338,18 +353,26 @@ def test_preconditioning_identity_data():
         assert_allclose(system.skk[k], (1.0 + shift) * np.eye(2), atol=1e-14)
 
 
+# Every pivot batch inverted by np.linalg.inv, then every one from its
+# Cholesky factor, whatever the batch size.
+PIVOT_ROUTES = (("inv", sys.maxsize), ("factor", 1))
+
+
 @pytest.mark.parametrize("ratio", [1e6, 1e8, 1e10, 1e12], ids=["1e6", "1e8", "1e10", "1e12"])
-def test_cosmic_solve_handles_ill_scaling(ratio):
+def test_cosmic_solve_handles_ill_scaling(ratio, monkeypatch):
     data, sched = ill_scaled_instance(ratio)
-    report = cosmic_solve(data, sched)
     theta_norm = float(np.linalg.norm(build_system(data, sched).theta))
-    assert report.gradient_norm <= 1e-6 * (1 + theta_norm)
+    for route, threshold in PIVOT_ROUTES:
+        monkeypatch.setattr(solvers, "_FACTOR_INVERSE_MIN", threshold)
+        report = cosmic_solve(data, sched)
+        assert report.gradient_norm <= 1e-6 * (1 + theta_norm), route
 
 
 @pytest.mark.parametrize("schedule", list(ILL_SCALED_SCHEDULES))
 @pytest.mark.parametrize("ratio", [1e8, 1e10, 1e12], ids=["1e8", "1e10", "1e12"])
-def test_ill_scaled_forward_error_against_mpmath(ratio, schedule):
-    """Forward error of the closed form against a 60-digit reference.
+def test_ill_scaled_forward_error_against_mpmath(ratio, schedule, monkeypatch):
+    """Forward error of the closed form against a 60-digit reference, on
+    both routes that invert the pivots.
 
     The pivot test judges each pivot rescaled to unit diagonal, so an
     ill-scaled state coordinate neither fails the solve nor costs accuracy.
@@ -358,8 +381,26 @@ def test_ill_scaled_forward_error_against_mpmath(ratio, schedule):
     data, _ = ill_scaled_instance(ratio, n=12, seed=0, process_noise=0.01)
     sched = ILL_SCALED_SCHEDULES[schedule]
     ref = mp_reference(data, sched)
-    err = np.linalg.norm(cosmic_solve(data, sched).model.C - ref) / np.linalg.norm(ref)
-    assert err <= (1e-10 if schedule == "zoned" else 1e-12)
+    for route, threshold in PIVOT_ROUTES:
+        monkeypatch.setattr(solvers, "_FACTOR_INVERSE_MIN", threshold)
+        err = np.linalg.norm(cosmic_solve(data, sched).model.C - ref) / np.linalg.norm(ref)
+        assert err <= (1e-10 if schedule == "zoned" else 1e-12), route
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 12, 13])
+def test_factor_route_inverts_like_lapack(m):
+    """Batches above the threshold are inverted from their Cholesky factors;
+    odd sizes split the factor unevenly."""
+    rng = np.random.default_rng(m)
+    n = 2 * solvers._FACTOR_INVERSE_MIN
+    a = rng.normal(size=(n, m, m + 2))
+    s = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(m)
+    charged = []
+    sinv = solvers._invert_pivots(s, np.arange(n), charged.append)
+    ref = np.linalg.inv(s)
+    gap = np.linalg.norm(sinv - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert gap.max() <= 1e-12
+    assert charged == [n * (m**3 // 6 + m * m + m**3 // 3 + m * m + m**3)]
 
 
 # ---------------------------------------------------------------- counting
