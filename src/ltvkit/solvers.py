@@ -242,11 +242,13 @@ def _cholesky(s: Array) -> Array:
 
 
 # Batches of at least this many pivots are inverted from their Cholesky
-# factors, smaller ones by np.linalg.inv: the factor route's fixed cost of
-# about 4(m-1) numpy calls per batch of m x m pivots broke even at about 40
-# blocks of 3 x 3 (one BLAS thread), and saved 16 % at 64 and 42 % at 1000
-# (12 x 12: 30 % at 32, 56 % at 1000).
-_FACTOR_INVERSE_MIN = 64
+# factors, smaller ones by np.linalg.inv: the factor route makes about
+# 4(m-1) numpy calls per batch of m x m pivots where inv makes one.  32 is
+# the measured crossover (interleaved medians, one BLAS thread): the factor
+# route took 0.99 of inv's time on 32 blocks of 3 x 3 and 1.05 on 24, and
+# 12 x 12 blocks broke even near 20.  With no threshold, smd-sweep's fits,
+# whose batches run from 50 pivots down to 1, were 5 % slower.
+_FACTOR_INVERSE_MIN = 32
 
 
 def _fill_lower_inverse(factor: Array, w: Array, lo: int, hi: int) -> None:
