@@ -132,7 +132,8 @@ class SweepSpec:
         object.__setattr__(self, "sigma_grid", tuple(
             _finite("sigma (noise level)", v, nonnegative=True)
             for v in _array("sigma_grid", self.sigma_grid)))
-        object.__setattr__(self, "seeds", _array("seeds", self.seeds, _integer))
+        object.__setattr__(self, "seeds", _array(
+            "seeds", self.seeds, lambda name, v: _integer(name, v, nonnegative=True)))
         _integer("L", self.L)
         if not self.lambda_grid or any(v <= 0.0 for v in self.lambda_grid):
             raise ValueError("lambda_grid must list positive weights")
@@ -166,16 +167,14 @@ def cmd_generate(args) -> int:
     cfg = _record("generate config", _read_json(args.config) if args.config else {},
                   known=("smd", "L", "excitation", "noise", "seed"))
     smd = SmdConfig.from_dict(cfg.get("smd", {}))
-    L = _integer("L (trajectory count)", cfg.get("L", 6))
     excitation = ExcitationSpec.from_dict(cfg.get("excitation", {}))
     noise_cfg = cfg.get("noise", {})
     noise = (None if noise_cfg is None
              else NoiseConfig(**_dataclass_record(NoiseConfig, "noise config", noise_cfg)))
-    seed = _integer("seed", cfg.get("seed", 0))
-    seed = seed if args.seed is None else args.seed
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
 
     model = smd_model(smd)
-    dataset = generate_dataset(model, L, excitation, noise, seed)
+    dataset = generate_dataset(model, cfg.get("L", 6), excitation, noise, seed)
     _write_json(args.out, dataset.to_dict())
     if args.model_out:
         _write_json(args.model_out, model.to_dict())

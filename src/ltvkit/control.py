@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -256,6 +257,10 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
     errors are the Euclidean deviations of the position coordinates from
     the reference at every instant.  A non-finite initial state or
     reference raises ValueError.
+
+    The plant steps with ``sim._step`` over the same per-instant views as
+    ``simulate``, so ``simulate(plant, x0, result.inputs)`` reproduces
+    ``result.states`` bit for bit.
     """
     n, p, q = plant.N, plant.p, plant.q
     if gains.K.shape != (n, q, p):
@@ -272,18 +277,26 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
     if not np.isfinite(x0).all():
         raise ValueError(f"initial state {x0.tolist()} is not finite")
 
-    meas_noise = None
+    # Rows of the measurement noise and reference, or None where an
+    # operation would add or subtract zero and is dropped.
+    noise_rows = repeat(None)
     if noise is not None and noise.sigma > 0.0:
-        meas_noise = np.random.default_rng(noise.seed).normal(0.0, noise.sigma, size=(n, p))
-
-    a_seq, b_seq = plant.A_seq, plant.B_seq
-    states = np.empty((n + 1, p))
-    inputs = np.empty((n, q))
+        noise_rows = np.random.default_rng(noise.seed).normal(0.0, noise.sigma, size=(n, p))
+    ref_rows = repeat(None) if reference is None else ref
+    # u = -(x - r) K^T = (x - r) (-K)^T exactly.  K is negated once, in its
+    # own memory layout, so np.dot gets each K(k)^T as the same strided view.
+    neg_kt = np.negative(gains.K).mT
+    states = np.empty((n + 1, 1, p))
+    inputs = np.empty((n, 1, q))
     states[0] = x0
-    for k in range(n):
-        measured = states[k] if meas_noise is None else states[k] + meas_noise[k]
-        inputs[k] = -gains.K[k] @ (measured - ref[k])
-        states[k + 1 : k + 2] = _step(a_seq[k], b_seq[k], states[k : k + 1], inputs[k : k + 1])
+    for x, w, r, kt, u, a_t, b_t, nxt in zip(states[:-1], noise_rows, ref_rows, neg_kt, inputs,
+                                             plant.C[:, :p], plant.C[:, p:], states[1:]):
+        error = x if w is None else x + w
+        if r is not None:
+            error = error - r
+        np.dot(error, kt, out=u)
+        _step(x, u, a_t, b_t, nxt)
+    states, inputs = states.reshape(n + 1, p), inputs.reshape(n, q)
     pos = position_coordinates(p, position_mask)
     errors = np.linalg.norm(states[:, pos] - ref[:, pos], axis=1)
     return RolloutResult(states=states, inputs=inputs, tracking_errors=errors)

@@ -105,10 +105,13 @@ def _array(name: str, values, check=None) -> tuple:
     return tuple(values if check is None else (check(f"{name} entry", v) for v in values))
 
 
-def _integer(name: str, value):
-    """``value`` if it is an integer; bools, floats and strings raise ValueError."""
+def _integer(name: str, value, nonnegative: bool = False):
+    """``value`` if it is an integer (and >= 0 when ``nonnegative``); bools,
+    floats and strings raise ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if nonnegative and value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     return value
 
 

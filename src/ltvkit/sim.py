@@ -6,8 +6,13 @@ with a zero-order hold on the input, freezing the coefficients over each
 sampling interval (exact for piecewise-constant inputs under frozen
 coefficients), all intervals in one batched matrix exponential.
 Simulation steps all trajectories of a dataset together, one instant at a
-time.  The closed-loop rollout takes the same step, so the two agree bit
-for bit, which an associative scan, rounding differently, would not give.
+time, with the states as rows: x(k+1)^T = x(k)^T A(k)^T + u(k)^T B(k)^T.
+The loop walks views made once before it starts: the model's blocks
+C(k)[:p] = A(k)^T and C(k)[p:] = B(k)^T, and the rows of the state and
+input buffers, storing each step in place.  The closed-loop rollout in
+``control`` walks the same views and takes the same ``_step``, so the two
+agree bit for bit, which an associative scan, rounding differently, would
+not give.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ class NoiseConfig:
 
     def __post_init__(self):
         _finite("sigma (noise level)", self.sigma, nonnegative=True)
-        _integer("noise seed", self.seed)
+        _integer("noise seed", self.seed, nonnegative=True)
 
 
 @dataclass(frozen=True)
@@ -142,19 +147,23 @@ def smd_model(config: SmdConfig) -> LtvModel:
     return LtvModel.from_blocks(phi[:, :2, :2], phi[:, :2, 2:])
 
 
-def _step(a: Array, b: Array, x: Array, u: Array) -> Array:
-    """A x + B u for rows x and u; ``closed_loop_rollout`` takes the same step."""
+def _step(x: Array, u: Array, a_t: Array, b_t: Array, out: Array) -> None:
+    """Store x A^T + u B^T in ``out``, for rows x and u and a_t = A^T, b_t = B^T.
+
+    The one step of ``_simulate_batch`` and of ``closed_loop_rollout``.
+    """
     # np.dot rather than @: on blocks this small its per-call overhead is lower.
-    return np.dot(x, a.T) + np.dot(u, b.T)
+    np.add(np.dot(x, a_t), np.dot(u, b_t), out=out)
 
 
 def _simulate_batch(model: LtvModel, x0: Array, inputs: Array) -> Array:
     """States (N+1, L, p) from initial states x0 (L, p) and inputs (N, L, q)."""
-    a_seq, b_seq = model.A_seq, model.B_seq
+    p = model.p
     states = np.empty((model.N + 1,) + x0.shape)
     states[0] = x0
-    for k in range(model.N):
-        states[k + 1] = _step(a_seq[k], b_seq[k], states[k], inputs[k])
+    for x, u, a_t, b_t, nxt in zip(states[:-1], inputs, model.C[:, :p], model.C[:, p:],
+                                   states[1:]):
+        _step(x, u, a_t, b_t, nxt)
     return states
 
 
@@ -198,6 +207,8 @@ def generate_dataset(model: LtvModel, L: int, excitation: Optional[ExcitationSpe
     instant at a time.  Noise is added to the recorded states only, the
     underlying simulation stays exact.
     """
+    _integer("seed", seed, nonnegative=True)
+    _integer("L (trajectory count)", L)
     if L < 1:
         raise ValueError(f"need at least one trajectory, got L={L}")
     excitation = excitation or ExcitationSpec()

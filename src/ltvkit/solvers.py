@@ -27,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LambdaSchedule, LtvModel, StackedData, _cost_and_gradient, gradient
+from .core import (LambdaSchedule, LtvModel, StackedData, _cost_and_gradient, _integer,
+                   gradient)
 from .diagnostics import predicted_multiply_count
 
 Array = np.ndarray
@@ -468,6 +469,7 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
         raise ValueError(f"stopping tolerance must be positive, got {epsilon}")
     if max_iters < 0:
         raise ValueError(f"sweep budget must be nonnegative, got {max_iters}")
+    _integer("seed", seed, nonnegative=True)
     start = time.perf_counter()
     system = build_system(data, sched)
     skk, lam, theta = system.skk, system.lam, system.theta

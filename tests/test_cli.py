@@ -615,10 +615,11 @@ _BENCH = {"N_grid": [10], "repetitions": 1}
 _SWEEP = {"lambda_grid": [1.0], "sigma_grid": [0.0], "seeds": [0], "smd": {"N": 10}}
 
 
-def run_input(capsys, workdir, tmp_path, kind, record):
-    """Run the command that reads ``record`` as its ``kind`` of input; a
-    dataset (``data``) or model is a one-state record with ``record``'s
-    keys replaced, and a ``reference`` is tracked by a one-state rollout."""
+def run_input(capsys, workdir, tmp_path, kind, record, *flags):
+    """Run the command that reads ``record`` as its ``kind`` of input, with
+    ``flags`` appended; a dataset (``data``) or model is a one-state record
+    with ``record``'s keys replaced, and a ``reference`` is tracked by a
+    one-state rollout."""
     out = tmp_path / "out"
     if kind == "data":
         base = TrajectoryDataset.build(1, 1, [([[0.1], [0.4], [0.2]], [[1.0], [-1.0]]),
@@ -639,7 +640,7 @@ def run_input(capsys, workdir, tmp_path, kind, record):
             "lambda": ["fit", "--data", str(workdir / "data.json"), "--lambda-file", path],
             "gains": rollout,
             "reference": rollout + ["--reference", path]}[kind]
-    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    code, stdout, err = run(capsys, *argv, *flags, "--out", str(out))
     return code, stdout, err, out.exists()
 
 
@@ -704,6 +705,18 @@ _MIXED_BOOLEANS = [
 _MISSING_KEYS = [
     ("reference", {"trajectory": []}, "malformed reference record: states is required"),
 ]
+# Each of these once failed with numpy's "expected non-negative integer",
+# which names no field.
+_NEGATIVE_SEEDS = [
+    ("generate", {}, ("--seed", "-1"), "seed must be a nonnegative integer, got -1"),
+    ("generate", {"seed": -4}, (), "seed must be a nonnegative integer, got -4"),
+    ("generate", {"noise": {"seed": -3}}, (), "noise seed must be a nonnegative integer, got -3"),
+    ("gains", {"K": [[[0.5]]] * 4}, ("--noise-sigma", "0.1", "--noise-seed", "-2"),
+     "noise seed must be a nonnegative integer, got -2"),
+    ("data", {}, ("--solver", "sbcd", "--seed", "-1"),
+     "seed must be a nonnegative integer, got -1"),
+    ("sweep", {**_SWEEP, "seeds": [0, -1]}, (), "seeds entry must be a nonnegative integer, got -1"),
+]
 
 
 @pytest.mark.parametrize("kind, record, needle",
@@ -712,6 +725,16 @@ _MISSING_KEYS = [
 def test_malformed_inputs_exit_1_naming_the_field(workdir, tmp_path, capsys, kind, record,
                                                   needle):
     code, out, err, written = run_input(capsys, workdir, tmp_path, kind, record)
+    assert code == 1
+    assert needle in err
+    assert out == ""
+    assert not written
+
+
+@pytest.mark.parametrize("kind, record, flags, needle", _NEGATIVE_SEEDS)
+def test_negative_seeds_exit_1_naming_the_field(workdir, tmp_path, capsys, kind, record, flags,
+                                                needle):
+    code, out, err, written = run_input(capsys, workdir, tmp_path, kind, record, *flags)
     assert code == 1
     assert needle in err
     assert out == ""

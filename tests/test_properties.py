@@ -10,7 +10,10 @@ weights from 1e-3 to 1e3.  The control instances are random drifting plants
 with N from 1 to 70 on the same weighting, p from 1 to 4, q from 0 to 3,
 A0's spectral norm from 0.1 to 1.5 and LQR weights from 1e-3 to 1e3,
 checked against the step-by-step Riccati recursion to a tolerance scaled
-by the conditioning of the two routes (see the test).  The JSON loaders
+by the conditioning of the two routes (see the test).  The rollouts run
+random drifting plants with N from 1 to 60, p from 1 to 6 and q from 0 to 3
+under random gains, with and without measurement noise and a reference,
+and are replayed through ``simulate``.  The JSON loaders
 get records whose keys are their own and whose values are mostly plausible,
 otherwise any JSON value.  Hypothesis runs derandomized and without an
 example database, so every run checks the same examples.
@@ -21,8 +24,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ltvkit import (ExcitationSpec, GainSchedule, LambdaSchedule, LqrWeights, LtvModel,
-                    SmdConfig, TrajectoryDataset, assemble_stacked, cosmic_solve,
-                    lqr_synthesize, oracle_solve)
+                    NoiseConfig, SmdConfig, TrajectoryDataset, assemble_stacked,
+                    closed_loop_rollout, cosmic_solve, lqr_synthesize, oracle_solve, simulate)
 from ltvkit.cli import BenchSpec, SweepSpec
 
 from _cases import (dense_reference_solution, drifting_plant, random_dataset, relative_gap,
@@ -104,6 +107,42 @@ def test_riccati_scan_matches_step_by_step_recursion(instance):
         s = weights.input_cost(model.q) + b.mT @ p_ref[1:] @ b
         assert relative_gap(gains.K, k_ref) <= tol * float(np.max(np.linalg.cond(s)))
 
+
+@st.composite
+def rollouts(draw):
+    n = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 60)))
+    p = draw(st.integers(1, 6))
+    q = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plant = drifting_plant(rng, p, q, n, spread=draw(st.floats(0.1, 1.5)))
+    gains = GainSchedule(K=rng.normal(size=(n, q, p)))
+    reference = rng.normal(size=(n + 1, p)) if draw(st.booleans()) else None
+    noise = (NoiseConfig(sigma=draw(st.floats(1e-3, 1.0)), seed=draw(st.integers(0, 2**16)))
+             if draw(st.booleans()) else None)
+    return plant, gains, rng.normal(size=p), reference, noise
+
+
+@_SETTINGS
+@given(rollouts())
+def test_rollout_replays_through_simulate_bit_for_bit(case):
+    """The rollout's states are ``simulate``'s under its own inputs, exactly,
+    and each input is -K(k) (x~(k) - r(k)) to rounding, where x~ is the true
+    state plus the noise stream default_rng(seed).normal(0, sigma, (N, p))."""
+    plant, gains, x0, reference, noise = case
+    n, p = plant.N, plant.p
+    result = closed_loop_rollout(plant, gains, reference=reference, x0=x0, noise=noise)
+    assert result.states.shape == (n + 1, p) and result.inputs.shape == (n, plant.q)
+    assert np.array_equal(simulate(plant, x0, result.inputs), result.states)
+    measured = result.states[:-1]
+    if noise is not None:
+        measured = measured + np.random.default_rng(noise.seed).normal(0.0, noise.sigma, (n, p))
+    ref = np.zeros((n + 1, p)) if reference is None else reference
+    eps = np.finfo(np.float64).eps
+    for k in range(n):
+        error = measured[k] - ref[k]
+        gap = np.linalg.norm(result.inputs[k] - -gains.K[k] @ error)
+        norm_k = np.linalg.norm(gains.K[k], 2) if plant.q else 0.0
+        assert gap <= 4 * eps * norm_k * np.linalg.norm(error)
 
 
 # JSON values of every kind: NaN and infinities, integers beyond float range,

@@ -116,6 +116,21 @@ def test_excitation_and_noise_validation():
     assert NoiseConfig(seed=np.int64(3)).seed == 3
 
 
+def test_generation_rejects_ill_typed_counts_and_negative_seeds():
+    model = smd_model(SmdConfig(N=10))
+    for bad in (True, 2.5, "3", None):
+        with pytest.raises(ValueError, match=r"^L \(trajectory count\) must be an integer"):
+            generate_dataset(model, bad)
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            generate_dataset(model, 2, seed=bad)
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+        generate_dataset(model, 2, seed=-1)
+    with pytest.raises(ValueError, match="^noise seed must be a nonnegative integer, got -3$"):
+        NoiseConfig(seed=-3)
+    assert generate_dataset(model, np.int64(2), seed=np.int64(0)).L == 2
+
+
 def test_excitation_rejects_bad_scales_and_empty_frequencies():
     for name in ("x0_scale", "input_scale"):
         for bad in (-1.0, -1e-300, float("nan"), float("inf")):

@@ -563,6 +563,11 @@ def test_sbcd_argument_validation():
             sbcd_solve(data, sched, epsilon=epsilon)
     with pytest.raises(ValueError, match="sweep budget"):
         sbcd_solve(data, sched, max_iters=-1)
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+        sbcd_solve(data, sched, seed=-1)
+    for seed in (True, 1.5, "1"):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            sbcd_solve(data, sched, seed=seed)
     wrong = LtvModel(p=1, q=1, N=2, C=np.zeros((2, 2, 1)))
     with pytest.raises(ValueError, match="initial model"):
         sbcd_solve(data, sched, init=wrong)
