@@ -6,8 +6,7 @@ from .control import (GainSchedule, LqrWeights, RolloutResult, SingularInputCost
 from .core import (LambdaSchedule, LtvModel, StackedData, Trajectory,
                    TrajectoryDataset, assemble_stacked, cost, cost_terms, gradient)
 from .diagnostics import (MultiplyCount, SufficiencyReport, covariance_sufficiency,
-                          estimation_error, prediction_error,
-                          predicted_multiply_count, rank_condition)
+                          estimation_error, prediction_error, predicted_multiply_count)
 from .sim import (ExcitationSpec, NoiseConfig, SmdConfig, generate_dataset,
                   simulate, smd_model)
 from .solvers import (SingularBlock, SizeGuard, SolveOptions, SolveReport, SolverError,
@@ -24,7 +23,6 @@ __all__ = [
     "TrajectoryDataset", "assemble_stacked", "cost", "cost_terms", "gradient",
     "MultiplyCount", "SufficiencyReport", "covariance_sufficiency",
     "estimation_error", "prediction_error", "predicted_multiply_count",
-    "rank_condition",
     "ExcitationSpec", "NoiseConfig", "SmdConfig", "generate_dataset",
     "simulate", "smd_model",
     "SingularBlock", "SizeGuard", "SolveOptions", "SolveReport", "SolverError",

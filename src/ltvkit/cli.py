@@ -90,8 +90,9 @@ class BenchSpec:
     def __post_init__(self):
         object.__setattr__(self, "N_grid", _array("N_grid", self.N_grid, _integer))
         object.__setattr__(self, "solvers", _array("solvers", self.solvers))
-        for name in ("repetitions", "p", "q", "L", "seed", "dense_limit", "sbcd_max_iters"):
+        for name in ("repetitions", "p", "q", "L", "dense_limit", "sbcd_max_iters"):
             _integer(name, getattr(self, name))
+        _integer("seed", self.seed, nonnegative=True)
         _finite("lambda", self.lam)
         _finite("sbcd_epsilon", self.sbcd_epsilon)
         _flag("accounting", self.accounting)
@@ -196,18 +197,21 @@ def cmd_check(args) -> int:
 def _lambda_hint(dataset, data, sched) -> str | None:
     """A hint naming lambda when it, not the data, made the fit singular.
 
-    That is when the data are sufficient but lambda * eps exceeds every
-    diagonal entry of the per-instant Gram blocks D(k)^T D(k): forming
-    the pivots D(k)^T D(k) + (lambda_{k-1} + lambda_k) I then rounds the
-    data away.  None otherwise.
+    That is when the data are sufficient but lambda * eps exceeds, for some
+    coordinate j, its largest diagonal entry over the per-instant Gram
+    blocks, min_j max_k (D(k)^T D(k))_jj: forming the pivots
+    D(k)^T D(k) + (lambda_{k-1} + lambda_k) I then rounds that coordinate's
+    data away at every instant.  The largest entry overall would move with
+    the units of the largest coordinate, which is never the one lost.
+    None otherwise.
     """
     eps = np.finfo(np.float64).eps
     lam = float(sched.materialize(data.N).max())
-    gram = float(np.max(np.sum(data.D * data.D, axis=1)))
+    gram = float(np.min(np.max(np.sum(data.D * data.D, axis=1), axis=0)))
     if lam * eps < gram or not covariance_sufficiency(dataset).sufficient:
         return None
     return (f"lambda = {lam:g} swamps the data: lambda * eps = {lam * eps:.3g} exceeds "
-            f"the largest Gram diagonal entry {gram:.3g} - lower lambda")
+            f"the smallest coordinate's largest Gram diagonal entry {gram:.3g} - lower lambda")
 
 
 def _solve(solver, data, sched, accounting, epsilon, max_iters, seed, dense_limit):
@@ -380,7 +384,8 @@ def _build_parser() -> _Parser:
 
     p = add("check", "test whether a dataset sufficiently excites the system")
     p.add_argument("--data", required=True, help="dataset JSON")
-    p.add_argument("--tol", type=float, help="positive-definiteness tolerance")
+    p.add_argument("--tol", type=float,
+                   help="eigenvalue floor of the unit-diagonal covariance (default 1e-10)")
     p.add_argument("--out", help="write the report JSON here as well")
     p.set_defaults(func=cmd_check)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import LtvModel, _first_nonfinite, _frozen_array, _record
 from .sim import _step
-from .solvers import SolverError, _cholesky
+from .solvers import SolverError, _blockwise
 
 Array = np.ndarray
 
@@ -136,20 +136,6 @@ class TrackingStats:
     to_dict = asdict
 
 
-def _solve_blocks(a: Array, b: Array) -> Array:
-    """a[i]^{-1} b[i] for every block, NaN where a[i] is singular.
-
-    One batched solve; only when it fails are the blocks solved one at a
-    time to find which.
-    """
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        if a.ndim == 2:
-            return np.full_like(b, np.nan)
-        return np.stack([_solve_blocks(x, y) for x, y in zip(a, b)])
-
-
 def _sym(a: Array) -> Array:
     return 0.5 * (a + a.mT)
 
@@ -163,7 +149,7 @@ def _combine(first, second):
     a1, c1, j1 = first
     a2, c2, j2 = second
     p = a1.shape[-1]
-    m = _solve_blocks(np.eye(p) + c1 @ j2, np.concatenate([a1, c1], axis=-1))
+    m = _blockwise(np.linalg.solve, np.eye(p) + c1 @ j2, np.concatenate([a1, c1], axis=-1))
     ma, mc = m[..., :p], m[..., p:]
     return a2 @ ma, _sym(a2 @ mc @ a2.mT + c2), _sym((j2 @ a1).mT @ ma + j1)
 
@@ -191,7 +177,7 @@ def _riccati_suffix_scan(a: Array, c: Array, j: Array) -> Array:
         a, c, j = a[1::2], c[1::2], j[1::2]
         later = np.zeros_like(j)
         later[: suffix.shape[0] - 1] = suffix[1:]
-        ma = _solve_blocks(np.eye(a.shape[-1]) + c @ later, a)
+        ma = _blockwise(np.linalg.solve, np.eye(a.shape[-1]) + c @ later, a)
         out = np.empty((suffix.shape[0] + j.shape[0],) + j.shape[1:])
         out[0::2] = suffix
         out[1::2] = _sym((later @ a).mT @ ma + j)
@@ -239,7 +225,8 @@ def lqr_synthesize(model: LtvModel, weights: Optional[LqrWeights] = None) -> Gai
 
     pb = ric[1:] @ b_seq
     s = _sym(weights.input_cost(q) + b_seq.mT @ pb)
-    failed = ~np.isfinite(np.diagonal(_cholesky(s), axis1=-2, axis2=-1)).all(axis=-1)
+    factor = _blockwise(np.linalg.cholesky, s)
+    failed = ~np.isfinite(np.diagonal(factor, axis1=-2, axis2=-1)).all(axis=-1)
     if failed.any():
         raise SingularInputCost(int(np.flatnonzero(failed)[-1]))
     gains = np.linalg.solve(s, pb.mT @ a_seq)

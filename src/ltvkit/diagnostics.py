@@ -2,10 +2,11 @@
 
 A dataset identifies the fitting problem uniquely exactly when the summed
 empirical covariance of the stacked state-input samples is positive
-definite, or equivalently when the stacked sample rows have full column
-rank.  Both checks are provided, together with the per-instant textbook
-multiply count of the closed-form recursion, which ``cosmic_solve``
-reports in accounting mode, and the error metrics used for validation.
+definite.  ``covariance_sufficiency`` decides that on the covariance
+rescaled to unit diagonal, so its verdict does not depend on units.  The
+module also gives the per-instant textbook multiply count of the
+closed-form recursion, which ``cosmic_solve`` reports in accounting mode,
+and the error metrics used for validation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "SufficiencyReport",
     "MultiplyCount",
     "covariance_sufficiency",
-    "rank_condition",
     "predicted_multiply_count",
     "estimation_error",
     "prediction_error",
@@ -33,19 +33,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SufficiencyReport:
-    """Outcome of the covariance sufficiency check."""
+    """Outcome of the covariance sufficiency check.
+
+    ``sigma`` and ``min_eigenvalue`` are raw; ``rank``, ``sufficient`` and
+    ``tolerance`` refer to the unit-diagonal rescaling of ``sigma``, whose
+    smallest eigenvalue is ``scaled_min_eigenvalue`` (0.0 when a coordinate
+    never varies).
+    """
 
     sigma: Array
     min_eigenvalue: float
+    scaled_min_eigenvalue: float
     sufficient: bool
     rank: int
     tolerance: float
-    per_trajectory_sigmas: Optional[tuple[Array, ...]] = None
 
     def to_dict(self) -> dict:
         return {
             "sufficient": self.sufficient,
             "min_eigenvalue": self.min_eigenvalue,
+            "scaled_min_eigenvalue": self.scaled_min_eigenvalue,
             "rank": self.rank,
             "tolerance": self.tolerance,
             "sigma": self.sigma.tolist(),
@@ -58,66 +65,45 @@ class MultiplyCount(NamedTuple):
     backward: int
 
 
-def _sample_matrix(tr: Trajectory, n: int) -> Array:
-    """Stacked sample rows [x(k)^T, u(k)^T] for k = 0 .. N-1."""
-    return np.concatenate([tr.states[:n], tr.inputs], axis=1)
-
-
-def covariance_sufficiency(dataset: TrajectoryDataset, tol: Optional[float] = None,
-                           per_trajectory: bool = False) -> SufficiencyReport:
+def covariance_sufficiency(dataset: TrajectoryDataset,
+                           tol: Optional[float] = None) -> SufficiencyReport:
     """Check whether the summed empirical covariance is positive definite.
 
     Each trajectory contributes Sigma_l = (1/N) sum_k z(k) z(k)^T over its
-    samples z(k) = [x(k); u(k)], k = 0 .. N-1, and the check requires the
-    sum of all Sigma_l to have its smallest eigenvalue above ``tol``
-    (default 1e-10 * trace / (p+q); a finite ``tol`` below the smallest
-    normal float is raised to it, a non-finite one raises ValueError).  A
-    sufficient dataset guarantees the fitting problem has a unique solution
-    for any positive smoothness schedule.
+    samples z(k) = [x(k); u(k)], k = 0 .. N-1.  The verdict is taken on the
+    sum Sigma rescaled to unit diagonal, D^(-1/2) Sigma D^(-1/2) with
+    D = diag(Sigma), over the coordinates that vary: ``rank`` counts its
+    eigenvalues above ``tol`` (default 1e-10; a finite ``tol`` below the
+    smallest normal float is raised to it, a non-finite one raises
+    ValueError), a coordinate that never varies adds nothing, and the data
+    are sufficient when the rank is p+q.  The rescaling is the one the
+    solver's pivot test is invariant under (van der Sluis, Numer. Math. 14,
+    1969), so changing units changes neither verdict.  A sufficient dataset
+    guarantees the fitting problem has a unique solution for any positive
+    smoothness schedule.
     """
     if tol is not None:
         _finite("tol", tol)
     m = dataset.p + dataset.q
-    sigmas = []
     sigma = np.zeros((m, m))
     for tr in dataset.trajectories:
-        z = _sample_matrix(tr, dataset.N)
-        s = (z.T @ z) / dataset.N
-        sigma += s
-        if per_trajectory:
-            sigmas.append(s)
-    w = np.linalg.eigvalsh(sigma)
-    if tol is None:
-        tol = 1e-10 * float(np.trace(sigma)) / m
-    tol = max(float(tol), float(np.finfo(np.float64).tiny))
+        z = np.concatenate([tr.states[:dataset.N], tr.inputs], axis=1)
+        sigma += (z.T @ z) / dataset.N
+    tol = max(1e-10 if tol is None else float(tol), float(np.finfo(np.float64).tiny))
+    scale = np.sqrt(np.diagonal(sigma))
+    varies = scale > 0.0
+    s = scale[varies]
+    # Divided one factor at a time, so that s_i s_j cannot underflow.
+    w = np.linalg.eigvalsh(sigma[varies][:, varies] / s[:, None] / s)
+    rank = int(np.sum(w > tol))
     return SufficiencyReport(
         sigma=sigma,
-        min_eigenvalue=float(w[0]),
-        sufficient=bool(w[0] > tol),
-        rank=int(np.sum(w > tol)),
+        min_eigenvalue=float(np.linalg.eigvalsh(sigma)[0]),
+        scaled_min_eigenvalue=float(w[0]) if varies.all() else 0.0,
+        sufficient=rank == m,
+        rank=rank,
         tolerance=tol,
-        per_trajectory_sigmas=tuple(sigmas) if per_trajectory else None,
     )
-
-
-def rank_condition(dataset: TrajectoryDataset, tol: Optional[float] = None) -> tuple[bool, int]:
-    """Numerical rank of the stacked sample rows across all trajectories.
-
-    Returns (satisfied, rank) where satisfied means the (N*L) x (p+q)
-    stack has full column rank.  The default tolerance is
-    max(N*L, p+q) * eps * sigma_max, the usual rank cutoff for the
-    machine precision eps.
-    """
-    rows = np.concatenate(
-        [_sample_matrix(tr, dataset.N) for tr in dataset.trajectories], axis=0
-    )
-    s = np.linalg.svd(rows, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return False, 0
-    if tol is None:
-        tol = max(rows.shape) * np.finfo(np.float64).eps * float(s[0])
-    rank = int(np.sum(s > tol))
-    return rank == dataset.p + dataset.q, rank
 
 
 def predicted_multiply_count(N: int, p: int, q: int) -> MultiplyCount:

@@ -228,18 +228,19 @@ def _unstable(d: Array, diag: Array) -> Array:
     return ~np.all(d * d > _PIVOT_FLOOR * diag, axis=-1)
 
 
-def _cholesky(s: Array) -> Array:
-    """Lower Cholesky factor of every block of ``s``, all NaN where it fails.
+def _blockwise(fn, *stacks: Array) -> Array:
+    """``fn(*stacks)`` for a batched LAPACK routine, with the result's blocks
+    all NaN where ``fn`` fails on them.
 
-    One batched factorization; only when it fails are the blocks factored
-    one at a time to find which.
+    One batched call; only when it fails is ``fn`` applied block by block to
+    find which.  A failed block has the shape of the last stack's block.
     """
     try:
-        return np.linalg.cholesky(s)
+        return fn(*stacks)
     except np.linalg.LinAlgError:
-        if s.ndim == 2:
-            return np.full(s.shape, np.nan)
-        return np.stack([_cholesky(block) for block in s])
+        if stacks[0].ndim == 2:
+            return np.full(stacks[-1].shape, np.nan)
+        return np.stack([_blockwise(fn, *blocks) for blocks in zip(*stacks)])
 
 
 # Batches of at least this many pivots are inverted from their Cholesky
@@ -277,7 +278,7 @@ def _invert_pivots(s: Array, instants: Array, charge) -> Array:
     Cholesky factor the test computes; that is as stable as LU-based
     inversion (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992).
     """
-    factor = _cholesky(s)
+    factor = _blockwise(np.linalg.cholesky, s)
     d = np.abs(np.diagonal(factor, axis1=-2, axis2=-1))
     bad = _unstable(d, np.diagonal(s, axis1=-2, axis2=-1))
     if bad.any():

@@ -145,6 +145,12 @@ def confined_dataset(rng, p, q, n, ell):
 
 
 def ill_scaled_instance(ratio=1e6, n=10, seed=5, process_noise=0.0):
+    """The stacked ``ill_scaled_dataset`` with the schedule lambda = 1."""
+    dataset = ill_scaled_dataset(ratio, n, seed, process_noise)
+    return assemble_stacked(dataset), LambdaSchedule.scalar(1.0)
+
+
+def ill_scaled_dataset(ratio=1e6, n=10, seed=5, process_noise=0.0):
     """Six trajectories of A = diag(0.9, 0.8), B = (0, 0.5), with the first
     state coordinate multiplied by ``ratio``.
 
@@ -166,8 +172,7 @@ def ill_scaled_instance(ratio=1e6, n=10, seed=5, process_noise=0.0):
             x[k + 1] = a @ x[k] + b @ u[k] + w[k]
         x[:, 0] *= ratio
         pairs.append((x, u))
-    data = assemble_stacked(TrajectoryDataset.build(2, 1, pairs))
-    return data, LambdaSchedule.scalar(1.0)
+    return TrajectoryDataset.build(2, 1, pairs)
 
 
 # The smoothness schedules the ill-scaled family is fitted with.

@@ -314,6 +314,25 @@ def test_fit_at_huge_lambda_hints_to_lower_it(tmp_path, capsys):
     assert HINT not in err
 
 
+@pytest.mark.parametrize("ratio", [1e6, 1e10])
+def test_fit_at_huge_lambda_hints_to_lower_it_in_any_units(tmp_path, capsys, ratio):
+    # The same rule in other units: the smallest coordinate's Gram entries,
+    # not the largest entry overall, are what lambda * eps rounds away.
+    data = tmp_path / "data.json"
+    assert main(["generate", "--out", str(data), "--quiet"]) == 0
+    record = json.loads(data.read_text(encoding="utf-8"))
+    for trajectory in record["trajectories"]:
+        for row in trajectory["states"]:
+            row[0] *= ratio
+    ill = write_json(tmp_path / "ill.json", record)
+    code, _, err = run(capsys, "fit", "--data", ill, "--lambda", "1e18",
+                       "--out", str(tmp_path / "m.json"))
+    assert code == 2
+    assert "hint: lambda = 1e+18 swamps the data" in err
+    assert "lower lambda" in err
+    assert HINT not in err
+
+
 def test_non_finite_data_fails_without_hint(tmp_path, capsys):
     config = write_json(tmp_path / "config.json", {"smd": {"N": 20}, "L": 4, "seed": 0})
     data = tmp_path / "data.json"
@@ -716,6 +735,7 @@ _NEGATIVE_SEEDS = [
     ("data", {}, ("--solver", "sbcd", "--seed", "-1"),
      "seed must be a nonnegative integer, got -1"),
     ("sweep", {**_SWEEP, "seeds": [0, -1]}, (), "seeds entry must be a nonnegative integer, got -1"),
+    ("bench", {**_BENCH, "p": 3, "seed": -1}, (), "seed must be a nonnegative integer, got -1"),
 ]
 
 

@@ -3,11 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ltvkit import (LambdaSchedule, LtvModel, SingularBlock, Trajectory,
-                    TrajectoryDataset, assemble_stacked, covariance_sufficiency,
+                    TrajectoryDataset, assemble_stacked, cosmic_solve, covariance_sufficiency,
                     estimation_error, oracle_solve, prediction_error,
-                    predicted_multiply_count, rank_condition, simulate)
+                    predicted_multiply_count, simulate)
 
-from _cases import confined_dataset, random_dataset
+from _cases import confined_dataset, ill_scaled_dataset, random_dataset
 
 
 def one_hot_dataset():
@@ -42,19 +42,20 @@ def test_zero_dataset_is_insufficient():
 
 
 def test_generic_data_passes_both_checks():
+    """The covariance check and the solver both accept generic data."""
     rng = np.random.default_rng(30)
     for _ in range(10):
         p = int(rng.integers(1, 4))
         q = int(rng.integers(0, 3))
         ds = random_dataset(rng, p, q, int(rng.integers(3, 9)), p + q + 1)
         report = covariance_sufficiency(ds)
-        satisfied, rank = rank_condition(ds)
         assert report.sufficient
-        assert satisfied
-        assert rank == report.rank == p + q
+        assert report.rank == p + q
+        cosmic_solve(assemble_stacked(ds), LambdaSchedule.scalar(1.0))
 
 
 def test_confined_data_fails_both_checks():
+    """The covariance check and the solver both reject confined data."""
     rng = np.random.default_rng(31)
     for _ in range(10):
         p = int(rng.integers(1, 4))
@@ -63,10 +64,39 @@ def test_confined_data_fails_both_checks():
             continue
         ds = confined_dataset(rng, p, q, 6, p + q + 2)
         report = covariance_sufficiency(ds)
-        satisfied, rank = rank_condition(ds)
         assert not report.sufficient
-        assert not satisfied
-        assert rank == report.rank == p + q - 1
+        assert report.rank == p + q - 1
+        with pytest.raises(SingularBlock):
+            cosmic_solve(assemble_stacked(ds), LambdaSchedule.scalar(1.0))
+
+
+def test_verdict_does_not_move_with_units():
+    """On the ill-scaled family the verdict is the ratio-1 one, and the fit succeeds.
+
+    The raw smallest eigenvalue moves with the ratio; the unit-diagonal
+    rescaling removes the ratio up to rounding.
+    """
+    for seed in (0, 1):
+        reference = covariance_sufficiency(ill_scaled_dataset(1.0, 12, seed, 0.01))
+        assert reference.sufficient
+        for ratio in (1e-6, 1.0, 1e6, 1e9, 1e12):
+            ds = ill_scaled_dataset(ratio, 12, seed, 0.01)
+            report = covariance_sufficiency(ds)
+            assert report.sufficient
+            assert report.rank == 3
+            assert report.scaled_min_eigenvalue == pytest.approx(
+                reference.scaled_min_eigenvalue, rel=1e-12)
+            cosmic_solve(assemble_stacked(ds), LambdaSchedule.scalar(1.0))
+
+
+def test_unexcited_input_is_insufficient():
+    rng = np.random.default_rng(35)
+    ds = TrajectoryDataset.build(2, 1, [(rng.normal(size=(7, 2)), np.zeros((6, 1)))
+                                        for _ in range(4)])
+    report = covariance_sufficiency(ds)
+    assert report.rank == 2
+    assert not report.sufficient
+    assert report.scaled_min_eigenvalue == 0.0
 
 
 def test_min_eigenvalue_grows_with_trajectories():
@@ -101,16 +131,6 @@ def test_sufficiency_predicts_solver_outcome():
     assert info.value.instant == 1
 
 
-def test_per_trajectory_breakdown_sums_to_total():
-    rng = np.random.default_rng(35)
-    ds = random_dataset(rng, 2, 1, 6, 4)
-    report = covariance_sufficiency(ds, per_trajectory=True)
-    assert len(report.per_trajectory_sigmas) == 4
-    assert_allclose(sum(report.per_trajectory_sigmas), report.sigma,
-                    rtol=1e-12, atol=1e-14)
-    assert covariance_sufficiency(ds).per_trajectory_sigmas is None
-
-
 def test_single_flat_trajectory_is_rank_one():
     ds = TrajectoryDataset.build(1, 1, [(np.ones(5), np.zeros(4))])
     report = covariance_sufficiency(ds)
@@ -125,7 +145,8 @@ def test_report_serialization():
     assert out["sufficient"] is True
     assert out["rank"] == 2
     assert out["sigma"] == [[0.5, 0.0], [0.0, 0.5]]
-    assert set(out) == {"sufficient", "min_eigenvalue", "rank", "tolerance", "sigma"}
+    assert set(out) == {"sufficient", "min_eigenvalue", "scaled_min_eigenvalue", "rank",
+                        "tolerance", "sigma"}
 
 
 # ---------------------------------------------------------------- counting
