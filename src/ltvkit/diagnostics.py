@@ -78,9 +78,9 @@ def covariance_sufficiency(dataset: TrajectoryDataset,
     ValueError), a coordinate that never varies adds nothing, and the data
     are sufficient when the rank is p+q.  The rescaling is the one the
     solver's pivot test is invariant under (van der Sluis, Numer. Math. 14,
-    1969), so changing units changes neither verdict.  A sufficient dataset
-    guarantees the fitting problem has a unique solution for any positive
-    smoothness schedule.
+    1969), so a change of units does not move the verdict.  A sufficient
+    dataset guarantees the fitting problem has a unique solution for any
+    positive smoothness schedule.
     """
     if tol is not None:
         _finite("tol", tol)
