@@ -195,7 +195,8 @@ def cmd_check(args) -> int:
 
 
 def _lambda_hint(dataset, data, sched) -> str | None:
-    """A hint naming lambda when it, not the data, made the fit singular.
+    """A hint naming lambda when it, not the data, is at fault: when it made
+    the fit singular, or when a fit that succeeded cannot be trusted.
 
     That is when the data are sufficient but lambda * eps exceeds, for some
     coordinate j, its largest diagonal entry over the per-instant Gram
@@ -236,6 +237,9 @@ def cmd_fit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: {hint}", file=sys.stderr)
         return 2
+    hint = _lambda_hint(dataset, data, sched)
+    if hint is not None:
+        print(f"warning: {hint}", file=sys.stderr)
     _write_json(args.out, report.model.to_dict())
     _emit(args, report.to_dict())
     return 0

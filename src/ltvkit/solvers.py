@@ -6,8 +6,11 @@ S_kk = D(k)^T D(k) + (lambda stencil) I, off-diagonal blocks -lambda_k I,
 and right-hand sides Theta_k = D(k)^T Xnext(k)^T.  Three routes solve it:
 
 * ``cosmic_solve``: closed-form block elimination by odd-even cyclic
-  reduction, floor(log2 N) + 1 levels of batched block operations and as
-  many batched back-substitution levels.
+  reduction, split into a factorization (``_factorize``: floor(log2 N) + 1
+  levels of batched block operations, each keeping its pivot inverses and
+  couplings) and a solve (``_solve_factored``) that pushes any right-hand
+  side through the stored levels and back-substitutes, so one factorization
+  is reusable for any right-hand side.
 * ``sbcd_solve``: stochastic block coordinate descent with exact block
   minimization, i.e. randomized block Gauss-Seidel on the same system; it
   evaluates the objective's ``gradient`` once per sweep to decide when to stop.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -167,7 +170,10 @@ class _Counter:
     LU plus n solved columns, matrix product full size, scalar times matrix
     one per entry), so the count is a deterministic function of the problem
     shapes.  A pivot inverse is charged Cholesky plus inverse whichever
-    route of ``_invert_pivots`` computes it.
+    route of ``_invert_pivots`` computes it.  Cyclic reduction charges its
+    factorization and each solve level by level, from the shapes of the
+    level's blocks: the factorization and the solve's pass down the levels
+    to ``forward``, the back-substitution to ``backward``.
     """
 
     __slots__ = ("forward", "backward", "other")
@@ -183,9 +189,6 @@ class _Counter:
 
     def fwd(self, n: int) -> None:
         self.forward += n
-
-    def bwd(self, n: int) -> None:
-        self.backward += n
 
     def misc(self, n: int) -> None:
         self.other += n
@@ -212,9 +215,9 @@ def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     Both are batched matmuls; numpy forms D^T D as a symmetric rank-k update.
     """
     lam = sched.materialize(data.N)
-    dt = np.swapaxes(data.D, 1, 2)
+    dt = data.D.mT
     gram = dt @ data.D
-    theta = dt @ np.swapaxes(data.Xnext, 1, 2)
+    theta = dt @ data.Xnext.mT
     shift = np.zeros(data.N)
     shift[:-1] += lam
     shift[1:] += lam
@@ -269,20 +272,21 @@ def _fill_lower_inverse(factor: Array, w: Array, lo: int, hi: int) -> None:
     w[:, mid:hi, lo:mid] = -(w22 @ (factor[:, mid:hi, lo:mid] @ w11))
 
 
-def _invert_pivots(s: Array, instants: Array, charge) -> Array:
+def _invert_pivots(s: Array, instants: Sequence[int], charge) -> Array:
     """Inverses of a stack of SPD pivot blocks, charged to ``charge``.
 
     Raises SingularBlock naming the first of ``instants`` whose pivot fails
-    the test of ``_unstable``.  A batch of at least ``_FACTOR_INVERSE_MIN``
+    the test of ``_unstable``; the batch is tested as a whole, and pivot by
+    pivot only when it fails.  A batch of at least ``_FACTOR_INVERSE_MIN``
     pivots is inverted as S^-1 = W^T W from W = L^-1, the inverse of the
     Cholesky factor the test computes; that is as stable as LU-based
     inversion (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992).
     """
     factor = _blockwise(np.linalg.cholesky, s)
-    d = np.abs(np.diagonal(factor, axis1=-2, axis2=-1))
-    bad = _unstable(d, np.diagonal(s, axis1=-2, axis2=-1))
-    if bad.any():
-        raise SingularBlock(int(instants[bad.argmax()]))
+    d = factor.diagonal(axis1=-2, axis2=-1)
+    diag = s.diagonal(axis1=-2, axis2=-1)
+    if not (d * d > _PIVOT_FLOOR * diag).all():
+        raise SingularBlock(int(instants[_unstable(d, diag).argmax()]))
     n, m = s.shape[0], s.shape[-1]
     charge(n * (_Counter.chol(m) + _Counter.lu(m) + _Counter.solve(m, m)))
     if n < _FACTOR_INVERSE_MIN:
@@ -290,74 +294,93 @@ def _invert_pivots(s: Array, instants: Array, charge) -> Array:
     w = np.zeros((n, m, m))
     w.reshape(n, m * m)[:, :: m + 1] = 1.0 / d
     _fill_lower_inverse(factor, w, 0, m)
-    return _t(w) @ w
+    return w.mT @ w
 
 
-def _t(a: Array) -> Array:
-    """Transpose every block of a stack; a 1-D stack of scalars is its own."""
-    return a if a.ndim == 1 else np.swapaxes(a, 1, 2)
+# Even positions, odd positions and all but the first, on axis -3, the axis
+# the level arrays stack their blocks on.
+_EVEN, _ODD, _TAIL = np.s_[..., 0::2, :, :], np.s_[..., 1::2, :, :], np.s_[..., 1:, :, :]
 
 
-def _product(a: Array, b: Array, charge) -> Array:
-    """Blockwise products a[i] @ b[i], charged to ``charge``.
+def _factorize(system: TridiagonalSystem, counter: _Counter) -> list:
+    """Odd-even block cyclic reduction of the normal matrix, one entry per level.
 
-    A 1-D factor holds scalar multiples of the identity and multiplies
-    elementwise.
+    A level holds a block-tridiagonal matrix, stacked on axis -3: diagonal
+    blocks ``s`` and couplings ``e``, block (j, j-1) = e[j-1] and block
+    (j-1, j) = e[j-1]^T.  It inverts the pivots at its even positions in one
+    batched call and passes the Schur complement on its odd positions to the
+    next level.  It keeps ``(sinv, left, right)``: the pivot inverses and the
+    couplings of each odd position to its even neighbours, e[0::2] and
+    e[1::2] (None at the last level); the Schur complement lives on as the
+    next level's pivots.  The first level's couplings are the scalars
+    -lambda_k, shaped (N-1, 1, 1) and broadcast; later ones are dense.  For
+    an SPD matrix this is Gaussian elimination in a symmetric permutation,
+    so every pivot is SPD.  Multiplies are charged once per level, from
+    the shapes.
     """
-    if a.ndim == 1:
-        charge(b.size)
-        return a[:, None, None] * b
-    if b.ndim == 1:
-        charge(a.size)
-        return a * b[:, None, None]
-    charge(a.shape[0] * a.shape[1] * a.shape[2] * b.shape[2])
-    return a @ b
-
-
-def _stencil_passes(system: TridiagonalSystem, counter: _Counter) -> Array:
-    """Odd-even block cyclic reduction of the normal equations.
-
-    A level holds a block-tridiagonal system: diagonal blocks ``s``,
-    right-hand sides ``r`` and couplings ``e`` with block (j, j-1) = e[j-1]
-    and block (j-1, j) = e[j-1]^T.  It inverts the pivots at its even
-    positions in one batched call, eliminates them, and passes the Schur
-    complement on its odd positions to the next level.  The couplings of
-    the first level are the scalars -lambda_k; from the second level on
-    they are dense.  For an SPD system this is Gaussian elimination in a
-    symmetric permutation, so every pivot is SPD.  Back-substitution then
-    recovers the even positions of each level, deepest level first.
-    """
-    s, r, e = system.skk, system.theta, -system.lam
-    instants = np.arange(s.shape[0])
+    s, e = system.skk, -system.lam[..., None, None]
+    instants = range(s.shape[-3])
+    m = s.shape[-1]
     levels = []
+    mul = np.multiply
     while True:
-        sinv = _invert_pivots(s[0::2], instants[0::2], counter.fwd)
-        y = _product(sinv, r[0::2], counter.fwd)
-        levels.append((sinv, e, y))
-        h = s.shape[0] // 2
+        sinv = _invert_pivots(s[_EVEN], instants[0::2], counter.fwd)
+        h = s.shape[-3] // 2
         if h == 0:
-            break
-        left, right = e[0::2], e[1::2]  # odd position 2i+1 to its even neighbours 2i, 2i+2
-        hr = right.shape[0]
-        g_left = _product(left, sinv[:h], counter.fwd)
-        g_right = _product(_t(right), sinv[1:], counter.fwd)
-        s_next = s[1::2] - _product(g_left, _t(left), counter.fwd)
-        s_next[:hr] -= _product(g_right, right, counter.fwd)
-        r_next = r[1::2] - _product(left, y[:h], counter.fwd)
-        r_next[:hr] -= _product(_t(right), y[1:], counter.fwd)
-        e = -_product(g_left[1:], right[: h - 1], counter.fwd)
-        s, r, instants = s_next, r_next, instants[1::2]
+            levels.append((sinv, None, None))
+            return levels
+        left, right = e[_EVEN], e[_ODD]
+        levels.append((sinv, left, right))
+        hr = right.shape[-3]
+        g_left = mul(left, sinv[..., :h, :, :])
+        g_right = mul(right.mT, sinv[_TAIL])
+        s_next = s[_ODD] - mul(g_left, left.mT)
+        head = s_next[..., :hr, :, :]
+        np.subtract(head, mul(g_right, right), out=head)
+        counter.forward += (3 * h + 2 * hr - 1) * m * m * e.shape[-1]
+        e = -mul(g_left[_TAIL], right[..., : h - 1, :, :])
+        s, instants, mul = s_next, instants[1::2], np.matmul
 
-    x = levels.pop()[2]
-    for sinv, e, y in reversed(levels):
-        left, right = e[0::2], e[1::2]
-        hr = right.shape[0]
-        z = np.zeros_like(y)
-        z[: x.shape[0]] = _product(_t(left), x, counter.bwd)
-        z[1 : hr + 1] += _product(right, x[:hr], counter.bwd)
-        out = np.empty((y.shape[0] + x.shape[0],) + y.shape[1:])
-        out[0::2] = y - _product(sinv, z, counter.bwd)
-        out[1::2] = x
+
+def _solve_factored(levels: list, r: Array, counter: _Counter) -> Array:
+    """Solve the factorized normal equations for the right-hand sides ``r``,
+    one (p+q, k) block per instant on axis -3, for any k.
+
+    Down the levels y = sinv r on the even positions and r_next = r_odd - e y;
+    back-substitution then recovers the even positions, deepest level first.
+    With ``system.theta`` the operands and their order are the elimination's,
+    so C is the closed-form solution to the last bit.  Multiplies are
+    charged once per level, from the shapes.
+    """
+    m, k = r.shape[-2:]
+    ys = []
+    mul = np.multiply
+    for sinv, left, right in levels:
+        y = sinv @ r[_EVEN]
+        ys.append(y)
+        counter.forward += sinv.shape[-3] * m * m * k
+        if left is None:
+            break
+        h, hr = left.shape[-3], right.shape[-3]
+        r_next = r[_ODD] - mul(left, y[..., :h, :, :])
+        head = r_next[..., :hr, :, :]
+        np.subtract(head, mul(right.mT, y[_TAIL]), out=head)
+        counter.forward += (h + hr) * m * left.shape[-1] * k
+        r, mul = r_next, np.matmul
+
+    x = ys.pop()
+    for level in range(len(ys) - 1, -1, -1):
+        (sinv, left, right), y = levels[level], ys[level]
+        mul = np.matmul if level else np.multiply
+        h, hr = left.shape[-3], right.shape[-3]
+        z = np.zeros(y.shape)
+        z[..., :h, :, :] = mul(left.mT, x)
+        mid = z[..., 1 : hr + 1, :, :]
+        np.add(mid, mul(right, x[..., :hr, :, :]), out=mid)
+        out = np.empty(y.shape[:-3] + (y.shape[-3] + h,) + y.shape[-2:])
+        np.subtract(y, sinv @ z, out=out[_EVEN])
+        out[_ODD] = x
+        counter.backward += ((h + hr) * left.shape[-1] + sinv.shape[-3] * m) * m * k
         x = out
     return x
 
@@ -382,9 +405,11 @@ def cosmic_solve(data: StackedData, sched: LambdaSchedule,
     """Solve the regularized fitting problem in closed form.
 
     Odd-even block cyclic reduction factorizes the block-tridiagonal
-    normal equations in floor(log2 N) + 1 levels of batched block
-    operations, and as many back-substitution levels recover the blocks
-    C(k); the report's iteration count is therefore always 1.  Raises
+    normal matrix once, in floor(log2 N) + 1 levels of batched block
+    operations; the solve pushes Theta through the stored levels, and as
+    many back-substitution levels recover the blocks C(k).  The report's
+    iteration count is therefore always 1, and its default multiply count
+    is charged level by level.  Raises
     SingularBlock, naming the original instant of the failing pivot, when
     a pivot block is numerically singular, which happens when the data do
     not sufficiently excite the system.
@@ -394,7 +419,7 @@ def cosmic_solve(data: StackedData, sched: LambdaSchedule,
     system = build_system(data, sched)
     counter = _Counter()
     counter.misc(data.N * data.L * data.width * (data.width + data.p))
-    c = _stencil_passes(system, counter)
+    c = _solve_factored(_factorize(system, counter), system.theta, counter)
     if opts.accounting:
         textbook = predicted_multiply_count(data.N, data.p, data.q)
         counter.forward, counter.backward, counter.other = textbook.forward, textbook.backward, 0

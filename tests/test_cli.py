@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ltvkit import LtvModel, TrajectoryDataset, cli
+from ltvkit import (LambdaSchedule, LtvModel, TrajectoryDataset, assemble_stacked, cli,
+                    cosmic_solve)
 from ltvkit.cli import _COVARIANCE_HINT, _fmt, main
 
 HINT = "dataset covariance not positive definite - collect more varied trajectories"
@@ -331,6 +332,35 @@ def test_fit_at_huge_lambda_hints_to_lower_it_in_any_units(tmp_path, capsys, rat
     assert "hint: lambda = 1e+18 swamps the data" in err
     assert "lower lambda" in err
     assert HINT not in err
+
+
+def test_fit_under_a_swamping_lambda_warns_but_succeeds(tmp_path, capsys):
+    # The first state coordinate 1e6 times smaller: at lambda = 1e5,
+    # lambda * eps exceeds that coordinate's Gram diagonal, and the fit that
+    # still succeeds is far from the dense solve.  It exits 0 and writes the
+    # model, with the lambda hint as a warning; the unscaled data get none.
+    config = write_json(tmp_path / "config.json", {"smd": {"N": 100}, "seed": 0})
+    data = tmp_path / "data.json"
+    assert main(["generate", "--config", config, "--out", str(data), "--quiet"]) == 0
+    record = json.loads(data.read_text(encoding="utf-8"))
+    for trajectory in record["trajectories"]:
+        for row in trajectory["states"]:
+            row[0] *= 1e-6
+    ill = write_json(tmp_path / "ill.json", record)
+    code, out, err = run(capsys, "fit", "--data", ill, "--lambda", "1e5",
+                         "--out", str(tmp_path / "m.json"))
+    assert code == 0, err
+    assert err.startswith("warning: lambda = 100000 swamps the data")
+    assert "lower lambda" in err
+    fitted = cosmic_solve(assemble_stacked(TrajectoryDataset.from_dict(record)),
+                          LambdaSchedule.scalar(1e5)).model
+    written = LtvModel.from_dict(json.loads((tmp_path / "m.json").read_text(encoding="utf-8")))
+    assert np.array_equal(written.C, fitted.C)
+    assert json.loads(out)["final_cost"] > 0.0
+    code, _, err = run(capsys, "fit", "--data", str(data), "--lambda", "1e5",
+                       "--out", str(tmp_path / "m.json"))
+    assert code == 0
+    assert err == ""
 
 
 def test_non_finite_data_fails_without_hint(tmp_path, capsys):

@@ -387,6 +387,47 @@ def test_ill_scaled_forward_error_against_mpmath(ratio, schedule, monkeypatch):
         assert err <= (1e-10 if schedule == "zoned" else 1e-12), route
 
 
+@pytest.mark.parametrize("route, threshold", PIVOT_ROUTES, ids=[r for r, _ in PIVOT_ROUTES])
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 100])
+def test_factorization_solves_any_right_hand_side(n, route, threshold, monkeypatch):
+    """One factorization serves every right-hand side.  With the system's
+    own Theta it reproduces cosmic_solve's C and multiply counts to the
+    last bit; a random right-hand side with 1 or p columns matches the
+    dense normal equations."""
+    monkeypatch.setattr(solvers, "_FACTOR_INVERSE_MIN", threshold)
+    data = assemble_stacked(generate_dataset(smd_model(SmdConfig(N=n)), 6,
+                                             noise=NoiseConfig(sigma=0.06, seed=1), seed=0))
+    sched = LambdaSchedule.scalar(1.0)
+    system = build_system(data, sched)
+    counter = solvers._Counter()
+    levels = solvers._factorize(system, counter)
+    c = solvers._solve_factored(levels, system.theta, counter)
+    report = cosmic_solve(data, sched)
+    assert np.array_equal(c, report.model.C)
+    assert (counter.forward, counter.backward) == (report.multiply_forward,
+                                                   report.multiply_backward)
+    dense = dense_normal_matrix(data, sched)
+    rng = np.random.default_rng(n)
+    for k in (1, data.p):
+        r = rng.normal(size=(n, data.width, k))
+        x = solvers._solve_factored(levels, r, solvers._Counter())
+        ref = np.linalg.solve(dense, r.reshape(-1, k)).reshape(r.shape)
+        assert relative_gap(x, ref) <= 1e-12, (route, k)
+
+
+def test_default_multiply_counts_are_pinned():
+    """Total, forward and backward counts of the bench's two long fits:
+    SMD with N = 2 500, L = 6 and a p = 8, q = 4 plant with N = 2 000, L = 24."""
+    smd = assemble_stacked(generate_dataset(smd_model(SmdConfig(N=2500)), 6,
+                                            noise=NoiseConfig(sigma=0.06, seed=1), seed=0))
+    for (data, sched), counts in (((smd, LambdaSchedule.scalar(1e5)),
+                                   (803_098, 473_410, 104_688)),
+                                  (wide_instance(2000), (36_120_144, 19_819_824, 4_780_320))):
+        report = cosmic_solve(data, sched)
+        assert (report.multiply_count, report.multiply_forward,
+                report.multiply_backward) == counts
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 12, 13])
 def test_factor_route_inverts_like_lapack(m):
     """Batches above the threshold are inverted from their Cholesky factors;
