@@ -208,7 +208,7 @@ def _lambda_hint(dataset, data, sched) -> str | None:
     """
     eps = np.finfo(np.float64).eps
     lam = float(sched.materialize(data.N).max())
-    gram = float(np.min(np.max(np.sum(data.D * data.D, axis=1), axis=0)))
+    gram = float(np.min(np.max(np.einsum("kli,kli->ki", data.D, data.D), axis=0)))
     if lam * eps < gram or not covariance_sufficiency(dataset).sufficient:
         return None
     return (f"lambda = {lam:g} swamps the data: lambda * eps = {lam * eps:.3g} exceeds "
@@ -227,17 +227,16 @@ def cmd_fit(args) -> int:
     dataset = TrajectoryDataset.from_dict(_read_json(args.data))
     data = assemble_stacked(dataset)
     sched = _schedule_from_args(args)
+    hint = _lambda_hint(dataset, data, sched)
     try:
         report = _solve(args.solver, data, sched, args.accounting, args.epsilon,
                         args.max_iters, args.seed, args.dense_limit)
     except SingularBlock as exc:
-        hint = _lambda_hint(dataset, data, sched)
         if hint is None:
             raise
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: {hint}", file=sys.stderr)
         return 2
-    hint = _lambda_hint(dataset, data, sched)
     if hint is not None:
         print(f"warning: {hint}", file=sys.stderr)
     _write_json(args.out, report.model.to_dict())

@@ -115,11 +115,16 @@ def _integer(name: str, value, nonnegative: bool = False):
     return value
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number; bools and strings are not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def _finite(name: str, value, nonnegative: bool = False):
     """``value`` if it is a real number of float64 range (and >= 0 when
     ``nonnegative``); NaN, infinities, bools and strings raise ValueError."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not abs(value) <= sys.float_info.max or (nonnegative and value < 0)):
+    if (not _real(value) or not abs(value) <= sys.float_info.max
+            or (nonnegative and value < 0)):
         kind = "finite nonnegative number" if nonnegative else "finite number"
         raise ValueError(f"{name} must be a {kind}, got {value!r}")
     return value

@@ -85,10 +85,9 @@ def covariance_sufficiency(dataset: TrajectoryDataset,
     if tol is not None:
         _finite("tol", tol)
     m = dataset.p + dataset.q
-    sigma = np.zeros((m, m))
-    for tr in dataset.trajectories:
-        z = np.concatenate([tr.states[:dataset.N], tr.inputs], axis=1)
-        sigma += (z.T @ z) / dataset.N
+    z = np.concatenate([np.concatenate([tr.states[:-1], tr.inputs], axis=1)
+                        for tr in dataset.trajectories])
+    sigma = (z.T @ z) / dataset.N
     tol = max(1e-10 if tol is None else float(tol), float(np.finfo(np.float64).tiny))
     scale = np.sqrt(np.diagonal(sigma))
     varies = scale > 0.0

@@ -19,7 +19,9 @@ and right-hand sides Theta_k = D(k)^T Xnext(k)^T.  Three routes solve it:
 
 Every route judges its SPD pivots on their unit-diagonal rescaling (van der
 Sluis, Numer. Math. 14, 1969), so whether a fit succeeds does not depend on
-the units of the states and inputs; the arithmetic is not rescaled.
+the units of the states and inputs; the arithmetic is not rescaled.  Each
+route's multiply count is computed from the problem shapes, cyclic
+reduction's from the shapes of its stored levels.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (LambdaSchedule, LtvModel, StackedData, _cost_and_gradient, _integer,
-                   gradient)
+                   _real, gradient)
 from .diagnostics import predicted_multiply_count
 
 Array = np.ndarray
@@ -162,48 +164,24 @@ class SolveReport:
         return out
 
 
-class _Counter:
-    """Tallies scalar multiplies, split by solver phase.
+# Multiplies are counted from the problem shapes, by standard dense linear
+# algebra charges: Cholesky n^3/6 + n^2, LU n^3/3 + n^2, a factored solve
+# n^2 per column, an inverse as LU plus n solved columns, a matrix product
+# at full size and a scalar times a matrix one per entry.  A pivot inverse
+# is charged Cholesky plus inverse whichever route of ``_invert_pivots``
+# computes it; stacking D(k)^T D(k) and D(k)^T Xnext(k)^T is charged to
+# every route.
+def _chol_count(n: int) -> int:
+    return n**3 // 6 + n * n
 
-    The charges follow standard dense linear algebra formulas (Cholesky
-    n^3/6 + n^2, LU n^3/3 + n^2, factored solve n^2 per column, inverse as
-    LU plus n solved columns, matrix product full size, scalar times matrix
-    one per entry), so the count is a deterministic function of the problem
-    shapes.  A pivot inverse is charged Cholesky plus inverse whichever
-    route of ``_invert_pivots`` computes it.  Cyclic reduction charges its
-    factorization and each solve level by level, from the shapes of the
-    level's blocks: the factorization and the solve's pass down the levels
-    to ``forward``, the back-substitution to ``backward``.
-    """
 
-    __slots__ = ("forward", "backward", "other")
+def _inverse_count(n: int, m: int) -> int:
+    """Multiplies of inverting n SPD pivots of size m x m."""
+    return n * (_chol_count(m) + m**3 // 3 + m * m + m**3)
 
-    def __init__(self):
-        self.forward = 0
-        self.backward = 0
-        self.other = 0
 
-    @property
-    def total(self) -> int:
-        return self.forward + self.backward + self.other
-
-    def fwd(self, n: int) -> None:
-        self.forward += n
-
-    def misc(self, n: int) -> None:
-        self.other += n
-
-    @staticmethod
-    def chol(n: int) -> int:
-        return n**3 // 6 + n * n
-
-    @staticmethod
-    def lu(n: int) -> int:
-        return n**3 // 3 + n * n
-
-    @staticmethod
-    def solve(n: int, rhs: int) -> int:
-        return n * n * rhs
+def _stacking_count(data: StackedData) -> int:
+    return data.N * data.L * data.width * (data.width + data.p)
 
 
 def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
@@ -272,8 +250,8 @@ def _fill_lower_inverse(factor: Array, w: Array, lo: int, hi: int) -> None:
     w[:, mid:hi, lo:mid] = -(w22 @ (factor[:, mid:hi, lo:mid] @ w11))
 
 
-def _invert_pivots(s: Array, instants: Sequence[int], charge) -> Array:
-    """Inverses of a stack of SPD pivot blocks, charged to ``charge``.
+def _invert_pivots(s: Array, instants: Sequence[int]) -> Array:
+    """Inverses of a stack of SPD pivot blocks.
 
     Raises SingularBlock naming the first of ``instants`` whose pivot fails
     the test of ``_unstable``; the batch is tested as a whole, and pivot by
@@ -288,7 +266,6 @@ def _invert_pivots(s: Array, instants: Sequence[int], charge) -> Array:
     if not (d * d > _PIVOT_FLOOR * diag).all():
         raise SingularBlock(int(instants[_unstable(d, diag).argmax()]))
     n, m = s.shape[0], s.shape[-1]
-    charge(n * (_Counter.chol(m) + _Counter.lu(m) + _Counter.solve(m, m)))
     if n < _FACTOR_INVERSE_MIN:
         return np.linalg.inv(s)
     w = np.zeros((n, m, m))
@@ -302,7 +279,7 @@ def _invert_pivots(s: Array, instants: Sequence[int], charge) -> Array:
 _EVEN, _ODD, _TAIL = np.s_[..., 0::2, :, :], np.s_[..., 1::2, :, :], np.s_[..., 1:, :, :]
 
 
-def _factorize(system: TridiagonalSystem, counter: _Counter) -> list:
+def _factorize(system: TridiagonalSystem) -> list:
     """Odd-even block cyclic reduction of the normal matrix, one entry per level.
 
     A level holds a block-tridiagonal matrix, stacked on axis -3: diagonal
@@ -315,16 +292,14 @@ def _factorize(system: TridiagonalSystem, counter: _Counter) -> list:
     next level's pivots.  The first level's couplings are the scalars
     -lambda_k, shaped (N-1, 1, 1) and broadcast; later ones are dense.  For
     an SPD matrix this is Gaussian elimination in a symmetric permutation,
-    so every pivot is SPD.  Multiplies are charged once per level, from
-    the shapes.
+    so every pivot is SPD.
     """
     s, e = system.skk, -system.lam[..., None, None]
     instants = range(s.shape[-3])
-    m = s.shape[-1]
     levels = []
     mul = np.multiply
     while True:
-        sinv = _invert_pivots(s[_EVEN], instants[0::2], counter.fwd)
+        sinv = _invert_pivots(s[_EVEN], instants[0::2])
         h = s.shape[-3] // 2
         if h == 0:
             levels.append((sinv, None, None))
@@ -337,35 +312,30 @@ def _factorize(system: TridiagonalSystem, counter: _Counter) -> list:
         s_next = s[_ODD] - mul(g_left, left.mT)
         head = s_next[..., :hr, :, :]
         np.subtract(head, mul(g_right, right), out=head)
-        counter.forward += (3 * h + 2 * hr - 1) * m * m * e.shape[-1]
         e = -mul(g_left[_TAIL], right[..., : h - 1, :, :])
         s, instants, mul = s_next, instants[1::2], np.matmul
 
 
-def _solve_factored(levels: list, r: Array, counter: _Counter) -> Array:
+def _solve_factored(levels: list, r: Array) -> Array:
     """Solve the factorized normal equations for the right-hand sides ``r``,
     one (p+q, k) block per instant on axis -3, for any k.
 
     Down the levels y = sinv r on the even positions and r_next = r_odd - e y;
     back-substitution then recovers the even positions, deepest level first.
     With ``system.theta`` the operands and their order are the elimination's,
-    so C is the closed-form solution to the last bit.  Multiplies are
-    charged once per level, from the shapes.
+    so C is the closed-form solution to the last bit.
     """
-    m, k = r.shape[-2:]
     ys = []
     mul = np.multiply
     for sinv, left, right in levels:
         y = sinv @ r[_EVEN]
         ys.append(y)
-        counter.forward += sinv.shape[-3] * m * m * k
         if left is None:
             break
         h, hr = left.shape[-3], right.shape[-3]
         r_next = r[_ODD] - mul(left, y[..., :h, :, :])
         head = r_next[..., :hr, :, :]
         np.subtract(head, mul(right.mT, y[_TAIL]), out=head)
-        counter.forward += (h + hr) * m * left.shape[-1] * k
         r, mul = r_next, np.matmul
 
     x = ys.pop()
@@ -380,23 +350,46 @@ def _solve_factored(levels: list, r: Array, counter: _Counter) -> Array:
         out = np.empty(y.shape[:-3] + (y.shape[-3] + h,) + y.shape[-2:])
         np.subtract(y, sinv @ z, out=out[_EVEN])
         out[_ODD] = x
-        counter.backward += ((h + hr) * left.shape[-1] + sinv.shape[-3] * m) * m * k
         x = out
     return x
 
 
-def _finish(model, data, sched, counter, elapsed, iterations, converged=True):
+def _reduction_count(levels: list, k: int) -> tuple[int, int]:
+    """(forward, backward) multiplies of ``_factorize`` into ``levels`` and of
+    one ``_solve_factored`` for k right-hand side columns, read from the
+    shapes of the stored levels on axis -3.
+
+    Forward charges each level's pivot inverses and y = sinv r, and, where
+    the level has couplings, its Schur complement and r_next; backward
+    charges the back-substitution.  A coupling's last axis w is 1 at the
+    first level, whose couplings are scalars.
+    """
+    forward = backward = 0
+    for sinv, left, right in levels:
+        n, m = sinv.shape[-3], sinv.shape[-1]
+        forward += _inverse_count(n, m) + n * m * m * k
+        if left is not None:
+            h, hr, w = left.shape[-3], right.shape[-3], left.shape[-1]
+            forward += (3 * h + 2 * hr - 1) * m * m * w + (h + hr) * m * w * k
+            backward += ((h + hr) * w + n * m) * m * k
+    return forward, backward
+
+
+def _finish(model, data, sched, counts, elapsed, iterations, converged=True):
+    """The report of a solve whose multiplies are ``counts`` = (forward,
+    backward, other)."""
+    forward, backward, other = counts
     final_cost, grad = _cost_and_gradient(model, data, sched)
     return SolveReport(
         model=model,
         final_cost=final_cost,
         gradient_norm=float(np.linalg.norm(grad)),
-        multiply_count=counter.total,
+        multiply_count=forward + backward + other,
         elapsed=elapsed,
         iterations=iterations,
         converged=converged,
-        multiply_forward=counter.forward,
-        multiply_backward=counter.backward,
+        multiply_forward=forward,
+        multiply_backward=backward,
     )
 
 
@@ -409,7 +402,7 @@ def cosmic_solve(data: StackedData, sched: LambdaSchedule,
     operations; the solve pushes Theta through the stored levels, and as
     many back-substitution levels recover the blocks C(k).  The report's
     iteration count is therefore always 1, and its default multiply count
-    is charged level by level.  Raises
+    is read from the shapes of the stored levels.  Raises
     SingularBlock, naming the original instant of the failing pivot, when
     a pivot block is numerically singular, which happens when the data do
     not sufficiently excite the system.
@@ -417,15 +410,17 @@ def cosmic_solve(data: StackedData, sched: LambdaSchedule,
     opts = opts or SolveOptions()
     start = time.perf_counter()
     system = build_system(data, sched)
-    counter = _Counter()
-    counter.misc(data.N * data.L * data.width * (data.width + data.p))
-    c = _solve_factored(_factorize(system, counter), system.theta, counter)
+    levels = _factorize(system)
+    c = _solve_factored(levels, system.theta)
     if opts.accounting:
         textbook = predicted_multiply_count(data.N, data.p, data.q)
-        counter.forward, counter.backward, counter.other = textbook.forward, textbook.backward, 0
+        counts = textbook.forward, textbook.backward, 0
+    else:
+        counts = (*_reduction_count(levels, data.p), _stacking_count(data))
+    del levels  # so that _finish's verification can reuse the factorization's memory
     elapsed = time.perf_counter() - start
     model = LtvModel(p=data.p, q=data.q, N=data.N, C=c)
-    return _finish(model, data, sched, counter, elapsed, 1)
+    return _finish(model, data, sched, counts, elapsed, 1)
 
 
 def oracle_solve(data: StackedData, sched: LambdaSchedule,
@@ -447,9 +442,6 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
     if size > dense_limit:
         raise SizeGuard(size, dense_limit)
     system = build_system(data, sched)
-    counter = _Counter()
-    counter.misc(n_blocks * data.L * m * (m + p))
-
     full = np.zeros((n_blocks, m, n_blocks, m))
     k = np.arange(n_blocks)
     coupling = -system.lam[:, None, None] * np.eye(m)
@@ -463,11 +455,11 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
     bad = np.append(bad, stop < n_blocks)  # the instant where the factorization stopped
     if bad.any():
         raise SingularBlock(int(bad.argmax()))
-    counter.misc(_Counter.chol(size) + _Counter.solve(size, p))
     c, _ = lapack.dpotrs(factor, system.theta.reshape(size, p), lower=True)
     elapsed = time.perf_counter() - start
     model = LtvModel(p=data.p, q=data.q, N=data.N, C=c.reshape(n_blocks, m, p))
-    return _finish(model, data, sched, counter, elapsed, 1)
+    counts = 0, 0, _stacking_count(data) + _chol_count(size) + size * size * p
+    return _finish(model, data, sched, counts, elapsed, 1)
 
 
 def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
@@ -491,18 +483,14 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
     initial blocks, then one permutation per sweep, so equal seeds give
     bit-identical iterate sequences.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"stopping tolerance must be positive, got {epsilon}")
-    if max_iters < 0:
-        raise ValueError(f"sweep budget must be nonnegative, got {max_iters}")
+    if not (_real(epsilon) and epsilon > 0.0):
+        raise ValueError(f"stopping tolerance must be positive, got {epsilon!r}")
+    _integer("sweep budget", max_iters, nonnegative=True)
     _integer("seed", seed, nonnegative=True)
     start = time.perf_counter()
     system = build_system(data, sched)
     skk, lam, theta = system.skk, system.lam, system.theta
     n_blocks, m, p = theta.shape
-
-    counter = _Counter()
-    counter.misc(n_blocks * data.L * m * (m + p))
     rng = np.random.default_rng(seed)
     c = rng.uniform(-0.5, 0.5, size=(n_blocks, m, p))
     if init is not None:
@@ -510,10 +498,9 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
             raise ValueError("initial model does not match the data dimensions")
         c = np.array(init.C)
 
-    sinv = _invert_pivots(skk, np.arange(n_blocks), counter.misc)
+    sinv = _invert_pivots(skk, np.arange(n_blocks))
 
     def grad_sq() -> float:
-        counter.misc(2 * n_blocks * data.L * m * p + (n_blocks - 1) * m * p)
         grad = gradient(LtvModel(p=data.p, q=data.q, N=data.N, C=c), data, sched)
         return float(np.linalg.norm(grad)) ** 2
 
@@ -528,9 +515,13 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
             if i < n_blocks - 1:
                 rhs += lam[i] * c[i + 1]
             c[i] = sinv[i] @ rhs
-        counter.misc(n_blocks * (_Counter.solve(m, p) + 2 * m * p))
         sweeps += 1
         converged = grad_sq() <= epsilon
     elapsed = time.perf_counter() - start
     model = LtvModel(p=data.p, q=data.q, N=data.N, C=c)
-    return _finish(model, data, sched, counter, elapsed, sweeps, converged)
+    # Each sweep solves N blocks and adds two scaled neighbours to each
+    # right-hand side; each stopping test evaluates the gradient once.
+    other = (_stacking_count(data) + _inverse_count(n_blocks, m)
+             + sweeps * n_blocks * (m * m * p + 2 * m * p)
+             + (sweeps + 1) * (2 * n_blocks * data.L + n_blocks - 1) * m * p)
+    return _finish(model, data, sched, (0, 0, other), elapsed, sweeps, converged)

@@ -236,6 +236,18 @@ def test_fit_sbcd_rejects_nan_epsilon(workdir, tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_fit_oracle_over_its_dense_limit_exits_2(workdir, tmp_path, capsys):
+    out_path = tmp_path / "oracle.json"
+    code, out, err = run(capsys, "fit", "--data", str(workdir / "data.json"),
+                         "--lambda", "1", "--solver", "oracle", "--dense-limit", "4",
+                         "--out", str(out_path))
+    assert code == 2
+    assert "dense system of size 36 exceeds the limit 4" in err
+    assert "hint" not in err
+    assert out == ""
+    assert not out_path.exists()
+
+
 def test_fit_accepts_schedule_files(workdir, tmp_path, capsys):
     data = str(workdir / "data.json")
     zoned = write_json(tmp_path / "zoned.json",
@@ -592,12 +604,34 @@ def test_bench_grid_counts_and_size_guard(tmp_path, capsys):
     assert strip(out_a) == strip(out_b)
 
 
+def test_bench_on_random_data_is_reproducible(tmp_path, capsys):
+    # Shapes other than the SMD benchmark's (p, q) = (2, 1) draw random data.
+    spec = write_json(tmp_path / "spec.json",
+                      {"N_grid": [8, 20], "solvers": ["cosmic", "sbcd"], "repetitions": 1,
+                       "p": 3, "q": 2, "L": 7, "lambda": 0.5, "seed": 4,
+                       "sbcd_max_iters": 3})
+    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out_path in (out_a, out_b):
+        code, out, err = run(capsys, "bench", "--spec", spec, "--out", str(out_path))
+        assert code == 0, err
+        assert json.loads(out)["rows"] == 4
+    strip = lambda path: [row[:2] + row[3:] for row in read_csv(path)[1]]
+    rows = strip(out_a)
+    assert rows == strip(out_b)
+    assert [row[:2] for row in rows] == [["8", "cosmic"], ["8", "sbcd"],
+                                         ["20", "cosmic"], ["20", "sbcd"]]
+    assert all(float(row[3]) > 0.0 for row in rows)
+
+
 def test_bench_spec_validation(tmp_path, capsys):
     cases = [
         ({"N_grid": [10, 5]}, "strictly ascending"),
         ({"N_grid": [10], "solvers": ["magic"]}, "unknown solver"),
         ({"N_grid": [10], "budget": 3}, "unknown keys"),
         ({"solvers": ["cosmic"]}, "N_grid is required"),
+        ({"N_grid": [10], "repetitions": 0}, "repetitions must be at least 1"),
+        ({"N_grid": [10], "p": 0}, "invalid shapes p=0"),
+        ({"N_grid": [10], "lambda": 0}, "lambda must be positive"),
     ]
     for obj, needle in cases:
         spec = write_json(tmp_path / "spec.json", obj)

@@ -119,6 +119,20 @@ def test_covariance_is_positive_semidefinite():
         assert np.linalg.eigvalsh(sigma)[0] >= -1e-12
 
 
+def test_covariance_is_the_sum_over_trajectories():
+    """Sigma, formed in one product over all samples, matches the sum of the
+    per-trajectory covariances to within rounding."""
+    rng = np.random.default_rng(35)
+    for p, q, n, ell in ((1, 0, 4, 1), (2, 1, 30, 6), (3, 2, 17, 9)):
+        ds = random_dataset(rng, p, q, n, ell)
+        ref = np.zeros((p + q, p + q))
+        for tr in ds.trajectories:
+            z = np.concatenate([tr.states[:n], tr.inputs], axis=1)
+            ref += (z.T @ z) / n
+        sigma = covariance_sufficiency(ds).sigma
+        assert np.abs(sigma - ref).max() <= 64 * np.finfo(np.float64).eps * np.abs(ref).max()
+
+
 def test_sufficiency_predicts_solver_outcome():
     rng = np.random.default_rng(34)
     good = random_dataset(rng, 2, 1, 5, 4)

@@ -399,25 +399,25 @@ def test_factorization_solves_any_right_hand_side(n, route, threshold, monkeypat
                                              noise=NoiseConfig(sigma=0.06, seed=1), seed=0))
     sched = LambdaSchedule.scalar(1.0)
     system = build_system(data, sched)
-    counter = solvers._Counter()
-    levels = solvers._factorize(system, counter)
-    c = solvers._solve_factored(levels, system.theta, counter)
+    levels = solvers._factorize(system)
+    c = solvers._solve_factored(levels, system.theta)
     report = cosmic_solve(data, sched)
     assert np.array_equal(c, report.model.C)
-    assert (counter.forward, counter.backward) == (report.multiply_forward,
-                                                   report.multiply_backward)
+    assert solvers._reduction_count(levels, data.p) == (report.multiply_forward,
+                                                        report.multiply_backward)
     dense = dense_normal_matrix(data, sched)
     rng = np.random.default_rng(n)
     for k in (1, data.p):
         r = rng.normal(size=(n, data.width, k))
-        x = solvers._solve_factored(levels, r, solvers._Counter())
+        x = solvers._solve_factored(levels, r)
         ref = np.linalg.solve(dense, r.reshape(-1, k)).reshape(r.shape)
         assert relative_gap(x, ref) <= 1e-12, (route, k)
 
 
 def test_default_multiply_counts_are_pinned():
     """Total, forward and backward counts of the bench's two long fits:
-    SMD with N = 2 500, L = 6 and a p = 8, q = 4 plant with N = 2 000, L = 24."""
+    SMD with N = 2 500, L = 6 and a p = 8, q = 4 plant with N = 2 000, L = 24;
+    and of every route on SMD with N = 100, L = 6 at lambda = 1."""
     smd = assemble_stacked(generate_dataset(smd_model(SmdConfig(N=2500)), 6,
                                             noise=NoiseConfig(sigma=0.06, seed=1), seed=0))
     for (data, sched), counts in (((smd, LambdaSchedule.scalar(1e5)),
@@ -426,6 +426,16 @@ def test_default_multiply_counts_are_pinned():
         report = cosmic_solve(data, sched)
         assert (report.multiply_count, report.multiply_forward,
                 report.multiply_backward) == counts
+    short = assemble_stacked(generate_dataset(smd_model(SmdConfig(N=100)), 6,
+                                              noise=NoiseConfig(sigma=0.06, seed=1), seed=0))
+    sched = LambdaSchedule.scalar(1.0)
+    report = cosmic_solve(short, sched)
+    assert (report.multiply_count, report.multiply_forward,
+            report.multiply_backward) == (31_117, 18_103, 4_014)
+    for sweeps, total in ((0, 22_594), (2, 44_182)):
+        report = sbcd_solve(short, sched, epsilon=1e-300, max_iters=sweeps)
+        assert (report.iterations, report.multiply_count) == (sweeps, total)
+    assert oracle_solve(short, sched).multiply_count == 4_779_000
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 12, 13])
@@ -436,12 +446,11 @@ def test_factor_route_inverts_like_lapack(m):
     n = 2 * solvers._FACTOR_INVERSE_MIN
     a = rng.normal(size=(n, m, m + 2))
     s = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(m)
-    charged = []
-    sinv = solvers._invert_pivots(s, np.arange(n), charged.append)
+    sinv = solvers._invert_pivots(s, np.arange(n))
     ref = np.linalg.inv(s)
     gap = np.linalg.norm(sinv - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
     assert gap.max() <= 1e-12
-    assert charged == [n * (m**3 // 6 + m * m + m**3 // 3 + m * m + m**3)]
+    assert solvers._inverse_count(n, m) == n * (m**3 // 6 + m * m + m**3 // 3 + m * m + m**3)
 
 
 # ---------------------------------------------------------------- counting
@@ -599,11 +608,12 @@ def test_sbcd_cost_never_increases_across_sweeps():
 
 def test_sbcd_argument_validation():
     data, sched = hand_instance()
-    for epsilon in (0.0, -1.0, float("nan")):
+    for epsilon in (0.0, -1.0, float("nan"), True, "1", None):
         with pytest.raises(ValueError, match="stopping tolerance"):
             sbcd_solve(data, sched, epsilon=epsilon)
-    with pytest.raises(ValueError, match="sweep budget"):
-        sbcd_solve(data, sched, max_iters=-1)
+    for max_iters in (-1, 1.5, True, "1"):
+        with pytest.raises(ValueError, match="sweep budget"):
+            sbcd_solve(data, sched, max_iters=max_iters)
     with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
         sbcd_solve(data, sched, seed=-1)
     for seed in (True, 1.5, "1"):
