@@ -8,14 +8,13 @@ estimated dynamics can be judged against the true system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
-from .core import LtvModel, _first_nonfinite, _frozen_array, _real, _record
+from .core import LtvModel, _first_nonfinite, _frozen_array, _in_float_range, _real, _record
 from .sim import _step
 from .solvers import SolverError, _blockwise
 
@@ -69,7 +68,7 @@ class LqrWeights:
     def __post_init__(self):
         for name in ("q_x", "q_v", "r"):
             value = getattr(self, name)
-            if not (_real(value) and 0.0 < value < math.inf):
+            if not (_real(value) and _in_float_range(value) and value > 0.0):
                 raise ValueError(f"LQR weights must be positive and finite, got {name}={value!r}")
         if self.terminal is not None:
             term = np.asarray(self.terminal, dtype=np.float64)

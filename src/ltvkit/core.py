@@ -120,10 +120,19 @@ def _real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
+def _in_float_range(value) -> bool:
+    """Whether the real number ``value`` is finite in float64: compared
+    exactly for integers of any size, and without casting float64's bound
+    to a narrower numpy float, where it would overflow to infinity."""
+    if isinstance(value, numbers.Integral):
+        return abs(value) <= sys.float_info.max
+    return math.isfinite(value)
+
+
 def _finite(name: str, value, nonnegative: bool = False):
     """``value`` if it is a real number of float64 range (and >= 0 when
     ``nonnegative``); NaN, infinities, bools and strings raise ValueError."""
-    if (not _real(value) or not abs(value) <= sys.float_info.max
+    if (not _real(value) or not _in_float_range(value)
             or (nonnegative and value < 0)):
         kind = "finite nonnegative number" if nonnegative else "finite number"
         raise ValueError(f"{name} must be a {kind}, got {value!r}")

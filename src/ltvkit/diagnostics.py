@@ -84,9 +84,12 @@ def covariance_sufficiency(dataset: TrajectoryDataset,
     """
     if tol is not None:
         _finite("tol", tol)
-    m = dataset.p + dataset.q
-    z = np.concatenate([np.concatenate([tr.states[:-1], tr.inputs], axis=1)
-                        for tr in dataset.trajectories])
+    p, m = dataset.p, dataset.p + dataset.q
+    z = np.empty((len(dataset.trajectories), dataset.N, m))
+    for zl, tr in zip(z, dataset.trajectories):
+        zl[:, :p] = tr.states[:-1]
+        zl[:, p:] = tr.inputs
+    z = z.reshape(-1, m)
     sigma = (z.T @ z) / dataset.N
     tol = max(1e-10 if tol is None else float(tol), float(np.finfo(np.float64).tiny))
     scale = np.sqrt(np.diagonal(sigma))

@@ -184,18 +184,34 @@ def _stacking_count(data: StackedData) -> int:
     return data.N * data.L * data.width * (data.width + data.p)
 
 
+def _gram(a: Array) -> Array:
+    """a^T a per block on the leading axes, exactly symmetric.
+
+    numpy sends ``a.mT @ a`` to a symmetric rank-k update per block.  For
+    blocks of at most ``_NARROW_WIDTH_MAX`` columns one GEMM against a
+    contiguous copy of a^T, averaged with its transpose because GEMM may
+    round the two triangles apart, is faster: 0.5 of the time on 1 000
+    blocks of 6 x 3 and 0.7 on 24 x 3.  From 6 columns on it was not, and
+    on 12 columns it took 1.1 to 3.1 times as long.
+    """
+    if a.shape[-1] > _NARROW_WIDTH_MAX:
+        return a.mT @ a
+    g = np.ascontiguousarray(a.mT) @ a
+    return 0.5 * (g + g.mT)
+
+
 def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     """Assemble the block-tridiagonal normal equations of the objective.
 
     Diagonal blocks are D(k)^T D(k) plus lambda_1 I at k = 0,
     (lambda_k + lambda_{k+1}) I in the interior, and lambda_{N-1} I at
     k = N-1; couplings are -lambda_k I; right-hand sides are D(k)^T Xnext(k)^T.
-    Both are batched matmuls; numpy forms D^T D as a symmetric rank-k update.
+    Both are batched matmuls; the Gram blocks are ``_gram``'s plain GEMM,
+    made exactly symmetric.
     """
     lam = sched.materialize(data.N)
-    dt = data.D.mT
-    gram = dt @ data.D
-    theta = dt @ data.Xnext.mT
+    gram = _gram(data.D)
+    theta = data.D.mT @ data.Xnext.mT
     shift = np.zeros(data.N)
     shift[:-1] += lam
     shift[1:] += lam
@@ -233,6 +249,57 @@ def _blockwise(fn, *stacks: Array) -> Array:
 # whose batches run from 50 pivots down to 1, were 5 % slower.
 _FACTOR_INVERSE_MIN = 32
 
+# Batches of at least _NARROW_INVERSE_MIN pivots of at most _NARROW_WIDTH_MAX
+# rows are factored and inverted entry by entry by ``_narrow_inverse``: a
+# number of numpy calls that grows as m^3, each spanning the whole batch,
+# where LAPACK's Cholesky and numpy's matmul make one library call per
+# pivot.  Measured crossovers against the routes below (interleaved medians,
+# one BLAS thread): 4 x 4 pivots between 128 and 192 (1.04 of their time on
+# 128, 0.90 on 192), 3 x 3 near 56 (0.95 on 64, 0.79 on 128), 2 x 2 near 24,
+# 1 x 1 below 16.  Wider pivots need larger batches (5 x 5 near 200, 8 x 8
+# near 550), and 12 x 12 ones were still slower on 1 000 (1.05).
+_NARROW_WIDTH_MAX = 4
+_NARROW_INVERSE_MIN = 128
+
+
+def _narrow_inverse(s: Array) -> tuple[Array, Array]:
+    """Cholesky diagonals and inverses of a stack of small SPD blocks.
+
+    S = L L^T, W = L^-1 and S^-1 = W^T W, each entry computed for the whole
+    stack at once, with the reciprocal of each diagonal of L multiplied in
+    as LAPACK's unblocked Cholesky does.  A zero or negative pivot gives an
+    infinite or NaN diagonal, without a warning, for the pivot test to flag.
+    """
+    m = s.shape[-1]
+    low = [[None] * m for _ in range(m)]
+    w = [[None] * m for _ in range(m)]
+    d = np.empty(s.shape[:-1])
+    sinv = np.empty(s.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(m):
+            for i in range(j, m):
+                acc = s[..., i, j]
+                for k in range(j):
+                    acc = acc - low[i][k] * low[j][k]
+                if i == j:
+                    d[..., j] = np.sqrt(acc)
+                    w[j][j] = 1.0 / d[..., j]
+                else:
+                    low[i][j] = acc * w[j][j]
+        for j in range(m):
+            for i in range(j + 1, m):
+                acc = low[i][j] * w[j][j]
+                for k in range(j + 1, i):
+                    acc = acc + low[i][k] * w[k][j]
+                w[i][j] = -acc * w[i][i]
+        for a in range(m):
+            for b in range(a + 1):
+                acc = w[a][a] * w[a][b]
+                for k in range(a + 1, m):
+                    acc = acc + w[k][a] * w[k][b]
+                sinv[..., a, b] = sinv[..., b, a] = acc
+    return d, sinv
+
 
 def _fill_lower_inverse(factor: Array, w: Array, lo: int, hi: int) -> None:
     """Write the inverse of ``factor[:, lo:hi, lo:hi]`` into the same block of
@@ -255,23 +322,32 @@ def _invert_pivots(s: Array, instants: Sequence[int]) -> Array:
 
     Raises SingularBlock naming the first of ``instants`` whose pivot fails
     the test of ``_unstable``; the batch is tested as a whole, and pivot by
-    pivot only when it fails.  A batch of at least ``_FACTOR_INVERSE_MIN``
-    pivots is inverted as S^-1 = W^T W from W = L^-1, the inverse of the
-    Cholesky factor the test computes; that is as stable as LU-based
-    inversion (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992).
+    pivot only when it fails.  A large batch of narrow pivots is inverted by
+    ``_narrow_inverse``.  Otherwise a batch of at least
+    ``_FACTOR_INVERSE_MIN`` pivots is inverted as S^-1 = W^T W from
+    W = L^-1, the inverse of the Cholesky factor the test computes, and a
+    smaller one by np.linalg.inv.  Inverting from the Cholesky factor is as
+    stable as LU-based inversion (Du Croz & Higham, IMA J. Numer. Anal. 12,
+    1992).
     """
-    factor = _blockwise(np.linalg.cholesky, s)
-    d = factor.diagonal(axis1=-2, axis2=-1)
+    n, m = s.shape[0], s.shape[-1]
+    narrow = m <= _NARROW_WIDTH_MAX and n >= _NARROW_INVERSE_MIN
+    if narrow:
+        d, sinv = _narrow_inverse(s)
+    else:
+        factor = _blockwise(np.linalg.cholesky, s)
+        d = factor.diagonal(axis1=-2, axis2=-1)
     diag = s.diagonal(axis1=-2, axis2=-1)
     if not (d * d > _PIVOT_FLOOR * diag).all():
         raise SingularBlock(int(instants[_unstable(d, diag).argmax()]))
-    n, m = s.shape[0], s.shape[-1]
+    if narrow:
+        return sinv
     if n < _FACTOR_INVERSE_MIN:
         return np.linalg.inv(s)
     w = np.zeros((n, m, m))
     w.reshape(n, m * m)[:, :: m + 1] = 1.0 / d
     _fill_lower_inverse(factor, w, 0, m)
-    return w.mT @ w
+    return _gram(w)
 
 
 # Even positions, odd positions and all but the first, on axis -3, the axis

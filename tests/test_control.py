@@ -50,7 +50,7 @@ def test_weights_validation():
     with pytest.raises(ValueError, match="LQR weights must be positive"):
         LqrWeights(r=-1.0)
     for name in ("q_x", "q_v", "r"):
-        for bad in (float("nan"), float("inf"), True, "1", None):
+        for bad in (float("nan"), float("inf"), True, "1", None, 10**400):
             with pytest.raises(ValueError, match=f"finite, got {name}="):
                 LqrWeights(**{name: bad})
     assert LqrWeights(q_x=np.float32(2.0), r=3).q_x == 2.0

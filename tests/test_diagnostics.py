@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ltvkit import (LambdaSchedule, LtvModel, SingularBlock, Trajectory,
-                    TrajectoryDataset, assemble_stacked, cosmic_solve, covariance_sufficiency,
-                    estimation_error, oracle_solve, prediction_error,
-                    predicted_multiply_count, simulate)
+from ltvkit import (LambdaSchedule, LtvModel, NoiseConfig, SingularBlock, SmdConfig,
+                    Trajectory, TrajectoryDataset, assemble_stacked, cosmic_solve,
+                    covariance_sufficiency, estimation_error, generate_dataset, oracle_solve,
+                    prediction_error, predicted_multiply_count, simulate, smd_model)
 
-from _cases import confined_dataset, ill_scaled_dataset, random_dataset
+from _cases import confined_dataset, drifting_plant, ill_scaled_dataset, random_dataset
 
 
 def one_hot_dataset():
@@ -25,9 +25,10 @@ def test_one_hot_covariance_is_half_identity():
 
 
 def test_non_finite_tolerance_is_rejected():
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, np.float32(np.inf), 10**400):
         with pytest.raises(ValueError, match="tol"):
             covariance_sufficiency(one_hot_dataset(), tol=bad)
+    assert covariance_sufficiency(one_hot_dataset(), tol=np.float32(0.25)).tolerance == 0.25
     tiny = float(np.finfo(np.float64).tiny)
     for small in (0.0, -1.0):
         assert covariance_sufficiency(one_hot_dataset(), tol=small).tolerance == tiny
@@ -131,6 +132,18 @@ def test_covariance_is_the_sum_over_trajectories():
             ref += (z.T @ z) / n
         sigma = covariance_sufficiency(ds).sigma
         assert np.abs(sigma - ref).max() <= 64 * np.finfo(np.float64).eps * np.abs(ref).max()
+
+
+def test_covariance_equals_the_concatenated_sample_product():
+    """Sigma is bitwise the product over the samples concatenated trajectory by
+    trajectory, on the SMD shape and on a wide one."""
+    smd = generate_dataset(smd_model(SmdConfig(N=100)), 6,
+                           noise=NoiseConfig(sigma=0.06, seed=1), seed=0)
+    wide = generate_dataset(drifting_plant(np.random.default_rng(0), 8, 4, 200), 24, seed=1)
+    for ds in (smd, wide):
+        z = np.concatenate([np.concatenate([tr.states[:-1], tr.inputs], axis=1)
+                            for tr in ds.trajectories])
+        assert np.array_equal(covariance_sufficiency(ds).sigma, (z.T @ z) / ds.N)
 
 
 def test_sufficiency_predicts_solver_outcome():

@@ -28,6 +28,19 @@ def scaled_gap(c_a, c_b):
     return float(np.linalg.norm(c_a - c_b)) / (1.0 + float(np.linalg.norm(c_b)))
 
 
+# Every pivot batch inverted by np.linalg.inv, then every one from its
+# Cholesky factor, then every one of at most _NARROW_WIDTH_MAX rows entry by
+# entry, whatever the batch size: (_FACTOR_INVERSE_MIN, _NARROW_INVERSE_MIN).
+PIVOT_ROUTES = {"inv": (sys.maxsize, sys.maxsize), "factor": (1, sys.maxsize),
+                "narrow": (sys.maxsize, 1)}
+
+
+def use_route(patch, route):
+    factor_min, narrow_min = PIVOT_ROUTES[route]
+    patch.setattr(solvers, "_FACTOR_INVERSE_MIN", factor_min)
+    patch.setattr(solvers, "_NARROW_INVERSE_MIN", narrow_min)
+
+
 # ---------------------------------------------------------------- assembly
 
 
@@ -91,15 +104,17 @@ def test_gram_blocks_are_exactly_symmetric():
 
 
 def test_build_system_matches_per_instant_products():
-    data, _ = wide_instance(300)
+    smd = assemble_stacked(generate_dataset(smd_model(SmdConfig(N=300)), 6,
+                                            noise=NoiseConfig(sigma=0.06, seed=1), seed=0))
     sched = LambdaSchedule.zoned([(1, 1e3), (100, 1e-2), (200, 1e5)])
-    system = build_system(data, sched)
-    lam = np.concatenate([[0.0], sched.materialize(data.N), [0.0]])
-    eye = np.eye(data.width)
-    gram = np.stack([d.T @ d + (lam[k] + lam[k + 1]) * eye for k, d in enumerate(data.D)])
-    theta = np.stack([d.T @ x.T for d, x in zip(data.D, data.Xnext)])
-    assert relative_gap(system.skk, gram) <= 1e-14
-    assert relative_gap(system.theta, theta) <= 1e-14
+    for data in (smd, wide_instance(300)[0]):
+        system = build_system(data, sched)
+        lam = np.concatenate([[0.0], sched.materialize(data.N), [0.0]])
+        eye = np.eye(data.width)
+        gram = np.stack([d.T @ d + (lam[k] + lam[k + 1]) * eye for k, d in enumerate(data.D)])
+        theta = np.stack([d.T @ x.T for d, x in zip(data.D, data.Xnext)])
+        assert relative_gap(system.skk, gram) <= 1e-14
+        assert relative_gap(system.theta, theta) <= 1e-14
 
 
 def test_tridiagonal_system_shape_validation():
@@ -271,8 +286,9 @@ def test_rank_deficient_data_always_raise_singular_block(monkeypatch):
     Cholesky diagonals about (1.87, 1.29, 2.98e-8): spread by less than
     sqrt(1/eps), yet singular enough that np.linalg.inv raises LinAlgError.
     The long horizons after the family invert their first levels' pivots
-    from the Cholesky factors and fail at a deeper level, at the instant
-    that inverting every batch by np.linalg.inv names.
+    from the Cholesky factors, or entry by entry, and fail at a deeper
+    level, at the instant that inverting every batch by np.linalg.inv
+    names; so does every route forced on every batch.
     """
     rng = np.random.default_rng(12345)
     family = []
@@ -292,13 +308,14 @@ def test_rank_deficient_data_always_raise_singular_block(monkeypatch):
         assert n >= 2 * solvers._FACTOR_INVERSE_MIN
         data = assemble_stacked(confined_dataset(rng, p, q, n, p + q + 2))
         for lam in (1e-3, 1.0, 1e3):
-            with pytest.raises(SingularBlock) as factor_route:
+            with pytest.raises(SingularBlock) as default:
                 cosmic_solve(data, LambdaSchedule.scalar(lam))
-            with monkeypatch.context() as patch:
-                patch.setattr(solvers, "_FACTOR_INVERSE_MIN", sys.maxsize)
-                with pytest.raises(SingularBlock) as inv_route:
-                    cosmic_solve(data, LambdaSchedule.scalar(lam))
-            assert factor_route.value.instant == inv_route.value.instant
+            for route in PIVOT_ROUTES:
+                with monkeypatch.context() as patch:
+                    use_route(patch, route)
+                    with pytest.raises(SingularBlock) as forced:
+                        cosmic_solve(data, LambdaSchedule.scalar(lam))
+                assert forced.value.instant == default.value.instant, route
 
 
 def test_oracle_size_guard():
@@ -353,17 +370,12 @@ def test_preconditioning_identity_data():
         assert_allclose(system.skk[k], (1.0 + shift) * np.eye(2), atol=1e-14)
 
 
-# Every pivot batch inverted by np.linalg.inv, then every one from its
-# Cholesky factor, whatever the batch size.
-PIVOT_ROUTES = (("inv", sys.maxsize), ("factor", 1))
-
-
 @pytest.mark.parametrize("ratio", [1e6, 1e8, 1e10, 1e12], ids=["1e6", "1e8", "1e10", "1e12"])
 def test_cosmic_solve_handles_ill_scaling(ratio, monkeypatch):
     data, sched = ill_scaled_instance(ratio)
     theta_norm = float(np.linalg.norm(build_system(data, sched).theta))
-    for route, threshold in PIVOT_ROUTES:
-        monkeypatch.setattr(solvers, "_FACTOR_INVERSE_MIN", threshold)
+    for route in PIVOT_ROUTES:
+        use_route(monkeypatch, route)
         report = cosmic_solve(data, sched)
         assert report.gradient_norm <= 1e-6 * (1 + theta_norm), route
 
@@ -372,7 +384,7 @@ def test_cosmic_solve_handles_ill_scaling(ratio, monkeypatch):
 @pytest.mark.parametrize("ratio", [1e8, 1e10, 1e12], ids=["1e8", "1e10", "1e12"])
 def test_ill_scaled_forward_error_against_mpmath(ratio, schedule, monkeypatch):
     """Forward error of the closed form against a 60-digit reference, on
-    both routes that invert the pivots.
+    every route that inverts the pivots.
 
     The pivot test judges each pivot rescaled to unit diagonal, so an
     ill-scaled state coordinate neither fails the solve nor costs accuracy.
@@ -381,20 +393,20 @@ def test_ill_scaled_forward_error_against_mpmath(ratio, schedule, monkeypatch):
     data, _ = ill_scaled_instance(ratio, n=12, seed=0, process_noise=0.01)
     sched = ILL_SCALED_SCHEDULES[schedule]
     ref = mp_reference(data, sched)
-    for route, threshold in PIVOT_ROUTES:
-        monkeypatch.setattr(solvers, "_FACTOR_INVERSE_MIN", threshold)
+    for route in PIVOT_ROUTES:
+        use_route(monkeypatch, route)
         err = np.linalg.norm(cosmic_solve(data, sched).model.C - ref) / np.linalg.norm(ref)
         assert err <= (1e-10 if schedule == "zoned" else 1e-12), route
 
 
-@pytest.mark.parametrize("route, threshold", PIVOT_ROUTES, ids=[r for r, _ in PIVOT_ROUTES])
+@pytest.mark.parametrize("route", list(PIVOT_ROUTES))
 @pytest.mark.parametrize("n", [2, 3, 5, 64, 100])
-def test_factorization_solves_any_right_hand_side(n, route, threshold, monkeypatch):
+def test_factorization_solves_any_right_hand_side(n, route, monkeypatch):
     """One factorization serves every right-hand side.  With the system's
     own Theta it reproduces cosmic_solve's C and multiply counts to the
     last bit; a random right-hand side with 1 or p columns matches the
     dense normal equations."""
-    monkeypatch.setattr(solvers, "_FACTOR_INVERSE_MIN", threshold)
+    use_route(monkeypatch, route)
     data = assemble_stacked(generate_dataset(smd_model(SmdConfig(N=n)), 6,
                                              noise=NoiseConfig(sigma=0.06, seed=1), seed=0))
     sched = LambdaSchedule.scalar(1.0)
@@ -451,6 +463,32 @@ def test_factor_route_inverts_like_lapack(m):
     gap = np.linalg.norm(sinv - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
     assert gap.max() <= 1e-12
     assert solvers._inverse_count(n, m) == n * (m**3 // 6 + m * m + m**3 // 3 + m * m + m**3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_narrow_route_factors_and_inverts_like_lapack(m, monkeypatch):
+    """The entry-by-entry kernel matches LAPACK's Cholesky diagonals and
+    np.linalg.inv, and a batch with one indefinite member fails at the
+    instant the LAPACK route names."""
+    rng = np.random.default_rng(m)
+    n = solvers._NARROW_INVERSE_MIN
+    a = rng.normal(size=(n, m, m + 2))
+    s = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(m)
+    d, sinv = solvers._narrow_inverse(s)
+    chol = np.linalg.cholesky(s).diagonal(axis1=1, axis2=2)
+    assert (np.abs(d - chol) / chol).max() <= 1e-14
+    ref = np.linalg.inv(s)
+    gap = np.linalg.norm(sinv - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert gap.max() <= 1e-14
+    instants = range(1, 2 * n, 2)
+    assert np.array_equal(solvers._invert_pivots(s, instants), sinv)
+    s[37] -= (np.linalg.eigvalsh(s[37])[0] + 1.0) * np.eye(m)
+    with pytest.raises(SingularBlock) as narrow:  # and no RuntimeWarning
+        solvers._invert_pivots(s, instants)
+    monkeypatch.setattr(solvers, "_NARROW_INVERSE_MIN", sys.maxsize)
+    with pytest.raises(SingularBlock) as lapack:
+        solvers._invert_pivots(s, instants)
+    assert narrow.value.instant == lapack.value.instant == 75
 
 
 # ---------------------------------------------------------------- counting
