@@ -162,7 +162,7 @@ def _check_weight(value) -> None:
     _finite("smoothness weight", value)
     if value <= 0.0:
         raise ValueError(f"smoothness weight must be positive, got {value}")
-    if value > _LAMBDA_MAX:
+    if float(value) > _LAMBDA_MAX:
         raise ValueError(
             f"smoothness weight {value} is too large: its square overflows "
             f"(the limit is {_LAMBDA_MAX:.6g})"

@@ -191,8 +191,9 @@ def _gram(a: Array) -> Array:
     blocks of at most ``_NARROW_WIDTH_MAX`` columns one GEMM against a
     contiguous copy of a^T, averaged with its transpose because GEMM may
     round the two triangles apart, is faster: 0.5 of the time on 1 000
-    blocks of 6 x 3 and 0.7 on 24 x 3.  From 6 columns on it was not, and
-    on 12 columns it took 1.1 to 3.1 times as long.
+    blocks of 6 x 3 and 0.7 on 24 x 3.  From 6 columns on it was slower on
+    some shapes, and on 12 columns it took 1.1 to 3.1 times as long on
+    blocks of 6, 12 and 24 rows.
     """
     if a.shape[-1] > _NARROW_WIDTH_MAX:
         return a.mT @ a

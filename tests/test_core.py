@@ -200,6 +200,7 @@ def test_model_validation_and_round_trip():
 def test_schedule_scalar():
     sched = LambdaSchedule.scalar(2.5)
     assert_allclose(sched.materialize(5), np.full(4, 2.5))
+    assert_allclose(LambdaSchedule.scalar(np.float32(2.5)).materialize(5), np.full(4, 2.5))
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             LambdaSchedule.scalar(bad)
