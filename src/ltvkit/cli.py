@@ -10,6 +10,7 @@ success, 1 on usage or configuration errors, 2 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import sys
@@ -49,9 +50,11 @@ def _read_json(path: str):
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
+# The objects written are fresh trees of dicts, lists and numbers, which
+# cannot hold a cycle, so the encoder's check for one is skipped.
 def _write_json(path: str, obj, indent=None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(obj, indent=indent) + "\n")
+        fh.write(json.dumps(obj, indent=indent, check_circular=False) + "\n")
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -67,7 +70,7 @@ def _fmt(x) -> str:
 
 def _emit(args, obj) -> None:
     if not args.quiet:
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(obj, indent=2, check_circular=False))
 
 
 @dataclass(frozen=True)
@@ -90,9 +93,10 @@ class BenchSpec:
     def __post_init__(self):
         object.__setattr__(self, "N_grid", _array("N_grid", self.N_grid, _integer))
         object.__setattr__(self, "solvers", _array("solvers", self.solvers))
-        for name in ("repetitions", "p", "q", "L", "dense_limit", "sbcd_max_iters"):
+        for name in ("repetitions", "p", "q", "L", "sbcd_max_iters"):
             _integer(name, getattr(self, name))
-        _integer("seed", self.seed, nonnegative=True)
+        for name in ("seed", "dense_limit"):
+            _integer(name, getattr(self, name), nonnegative=True)
         _finite("lambda", self.lam)
         _finite("sbcd_epsilon", self.sbcd_epsilon)
         _flag("accounting", self.accounting)
@@ -290,7 +294,18 @@ def cmd_rollout(args) -> int:
         ref_obj = _record("reference record", _read_json(args.reference), ("states",))
         reference = _frozen_array(ref_obj["states"], "reference states")
     noise = NoiseConfig(sigma=args.noise_sigma, seed=args.noise_seed)
-    result = closed_loop_rollout(plant, gains, reference, x0, noise)
+    # A loop that leaves the float range runs on through inf and NaN; it is
+    # refused here, before anything is written.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = closed_loop_rollout(plant, gains, reference, x0, noise)
+        stats = tracking_stats(result.tracking_errors)
+    bad = ~np.isfinite(result.tracking_errors) | ~np.isfinite(result.states).all(axis=1)
+    bad[:-1] |= ~np.isfinite(result.inputs).all(axis=1)
+    if bad.any():
+        raise SolverError(f"the rollout overflows at instant {bad.argmax()}: "
+                          "a state, input or tracking error is not finite")
+    if not all(np.isfinite(v) for v in (stats.mean, stats.stddev, stats.sum_sq)):
+        raise SolverError("the rollout's tracking statistics overflow")
     if args.out:
         header = (["k"] + [f"x{i}" for i in range(plant.p)]
                   + [f"u{j}" for j in range(plant.q)] + ["tracking_error"])
@@ -300,7 +315,7 @@ def cmd_rollout(args) -> int:
             u_cells = list(map(repr, inputs[k])) if k < plant.N else [""] * plant.q
             rows.append([str(k), *map(repr, x), *u_cells, repr(err)])
         _write_csv(args.out, header, rows)
-    _emit(args, tracking_stats(result.tracking_errors).to_dict())
+    _emit(args, stats.to_dict())
     return 0
 
 
@@ -368,90 +383,96 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
+# Each command's help line, handler and arguments (flag, keywords); every
+# command also takes --quiet.
+_COMMANDS = {
+    "generate": ("simulate a drifting spring-mass-damper dataset", cmd_generate, (
+        ("--config", dict(help="JSON config: smd, L, excitation, noise, seed")),
+        ("--out", dict(required=True, help="dataset JSON to write")),
+        ("--model-out", dict(help="also write the ground-truth model JSON")),
+        ("--seed", dict(type=int, help="override the config seed")))),
+    "check": ("test whether a dataset sufficiently excites the system", cmd_check, (
+        ("--data", dict(required=True, help="dataset JSON")),
+        ("--tol", dict(type=float,
+                       help="eigenvalue floor of the unit-diagonal covariance (default 1e-10)")),
+        ("--out", dict(help="write the report JSON here as well")))),
+    "fit": ("fit an LTV model to a dataset", cmd_fit, (
+        ("--data", dict(required=True, help="dataset JSON")),
+        ("--solver", dict(choices=_SOLVERS, default="cosmic")),
+        ("--lambda", dict(dest="lam", type=float, help="uniform smoothness weight")),
+        ("--lambda-file", dict(help="schedule JSON: scalar, zones, or per_instant")),
+        ("--out", dict(required=True, help="model JSON to write")),
+        ("--seed", dict(type=int, default=0, help="sbcd initialization seed")),
+        ("--epsilon", dict(type=float, default=1e-10, help="sbcd stopping tolerance")),
+        ("--max-iters", dict(type=int, default=10**6, help="sbcd sweep budget")),
+        ("--accounting", dict(action="store_true",
+                              help="report textbook multiply charges for the closed-form solver")),
+        ("--dense-limit", dict(type=int, default=4000, help="oracle size guard")))),
+    "eval": ("evaluate a model against data or a reference model", cmd_eval, (
+        ("--model", dict(required=True, help="model JSON")),
+        ("--data", dict(help="held-out dataset JSON")),
+        ("--mode", dict(choices=("one-step", "rollout"), default="one-step")),
+        ("--trajectory", dict(type=int, default=0, help="trajectory index in the dataset")),
+        ("--truth", dict(help="reference model JSON for the estimation error")),
+        ("--out", dict(help="per-step error CSV to write")))),
+    "lqr": ("synthesize finite-horizon LQR gains for a model", cmd_lqr, (
+        ("--model", dict(required=True, help="model JSON")),
+        ("--q-x", dict(type=float, default=1.0, help="position state weight")),
+        ("--q-v", dict(type=float, default=0.1, help="remaining state weight")),
+        ("--r", dict(type=float, default=1e-3, help="input weight")),
+        ("--out", dict(required=True, help="gain schedule JSON to write")))),
+    "rollout": ("run a gain schedule against a plant model", cmd_rollout, (
+        ("--plant", dict(required=True, help="plant model JSON")),
+        ("--gains", dict(required=True, help="gain schedule JSON")),
+        ("--x0", dict(required=True, help="initial state, comma separated")),
+        ("--reference", dict(help="reference JSON with a 'states' matrix (default zero)")),
+        ("--noise-sigma", dict(type=float, default=0.0, help="measurement noise level")),
+        ("--noise-seed", dict(type=int, default=0)),
+        ("--out", dict(help="trajectory CSV to write")))),
+    "bench": ("time the solvers over a grid of horizons", cmd_bench, (
+        ("--spec", dict(required=True, help="bench spec JSON")),
+        ("--out", dict(required=True, help="results CSV to write")))),
+    "sweep": ("median fit error over a noise by smoothness grid", cmd_sweep, (
+        ("--spec", dict(required=True, help="sweep spec JSON")),
+        ("--out", dict(required=True, help="results CSV to write")))),
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser with every command, or with ``command`` alone: it parses
+    that command's arguments, and words their errors and help, as the full
+    parser does, without building the other seven subparsers."""
     parser = _Parser(prog="ltvkit",
                      description="Fit, check, and control linear time-variant systems.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, helptext):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
-        return p
-
-    p = add("generate", "simulate a drifting spring-mass-damper dataset")
-    p.add_argument("--config", help="JSON config: smd, L, excitation, noise, seed")
-    p.add_argument("--out", required=True, help="dataset JSON to write")
-    p.add_argument("--model-out", help="also write the ground-truth model JSON")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.set_defaults(func=cmd_generate)
-
-    p = add("check", "test whether a dataset sufficiently excites the system")
-    p.add_argument("--data", required=True, help="dataset JSON")
-    p.add_argument("--tol", type=float,
-                   help="eigenvalue floor of the unit-diagonal covariance (default 1e-10)")
-    p.add_argument("--out", help="write the report JSON here as well")
-    p.set_defaults(func=cmd_check)
-
-    p = add("fit", "fit an LTV model to a dataset")
-    p.add_argument("--data", required=True, help="dataset JSON")
-    p.add_argument("--solver", choices=_SOLVERS, default="cosmic")
-    p.add_argument("--lambda", dest="lam", type=float, help="uniform smoothness weight")
-    p.add_argument("--lambda-file", help="schedule JSON: scalar, zones, or per_instant")
-    p.add_argument("--out", required=True, help="model JSON to write")
-    p.add_argument("--seed", type=int, default=0, help="sbcd initialization seed")
-    p.add_argument("--epsilon", type=float, default=1e-10, help="sbcd stopping tolerance")
-    p.add_argument("--max-iters", type=int, default=10**6, help="sbcd sweep budget")
-    p.add_argument("--accounting", action="store_true",
-                   help="report textbook multiply charges for the closed-form solver")
-    p.add_argument("--dense-limit", type=int, default=4000, help="oracle size guard")
-    p.set_defaults(func=cmd_fit)
-
-    p = add("eval", "evaluate a model against data or a reference model")
-    p.add_argument("--model", required=True, help="model JSON")
-    p.add_argument("--data", help="held-out dataset JSON")
-    p.add_argument("--mode", choices=("one-step", "rollout"), default="one-step")
-    p.add_argument("--trajectory", type=int, default=0, help="trajectory index in the dataset")
-    p.add_argument("--truth", help="reference model JSON for the estimation error")
-    p.add_argument("--out", help="per-step error CSV to write")
-    p.set_defaults(func=cmd_eval)
-
-    p = add("lqr", "synthesize finite-horizon LQR gains for a model")
-    p.add_argument("--model", required=True, help="model JSON")
-    p.add_argument("--q-x", type=float, default=1.0, help="position state weight")
-    p.add_argument("--q-v", type=float, default=0.1, help="remaining state weight")
-    p.add_argument("--r", type=float, default=1e-3, help="input weight")
-    p.add_argument("--out", required=True, help="gain schedule JSON to write")
-    p.set_defaults(func=cmd_lqr)
-
-    p = add("rollout", "run a gain schedule against a plant model")
-    p.add_argument("--plant", required=True, help="plant model JSON")
-    p.add_argument("--gains", required=True, help="gain schedule JSON")
-    p.add_argument("--x0", required=True, help="initial state, comma separated")
-    p.add_argument("--reference", help="reference JSON with a 'states' matrix (default zero)")
-    p.add_argument("--noise-sigma", type=float, default=0.0, help="measurement noise level")
-    p.add_argument("--noise-seed", type=int, default=0)
-    p.add_argument("--out", help="trajectory CSV to write")
-    p.set_defaults(func=cmd_rollout)
-
-    p = add("bench", "time the solvers over a grid of horizons")
-    p.add_argument("--spec", required=True, help="bench spec JSON")
-    p.add_argument("--out", required=True, help="results CSV to write")
-    p.set_defaults(func=cmd_bench)
-
-    p = add("sweep", "median fit error over a noise by smoothness grid")
-    p.add_argument("--spec", required=True, help="sweep spec JSON")
-    p.add_argument("--out", required=True, help="results CSV to write")
-    p.set_defaults(func=cmd_sweep)
+    for name, (helptext, func, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=helptext)
+            p.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command, with the cyclic garbage collector paused while it runs.
+
+    The commands allocate tens of thousands of lists (decoding JSON,
+    ``tolist``) that hold no cycles, so the collections they would trigger
+    find nothing; reference counting frees those lists all the same.  The
+    collector's prior state is restored, so a caller that disabled it
+    keeps it disabled.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except SingularBlock as exc:
@@ -464,6 +485,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

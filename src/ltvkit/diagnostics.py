@@ -80,7 +80,8 @@ def covariance_sufficiency(dataset: TrajectoryDataset,
     solver's pivot test is invariant under (van der Sluis, Numer. Math. 14,
     1969), so a change of units does not move the verdict.  A sufficient
     dataset guarantees the fitting problem has a unique solution for any
-    positive smoothness schedule.
+    positive smoothness schedule.  Data whose covariance overflows float64
+    raise ValueError.
     """
     if tol is not None:
         _finite("tol", tol)
@@ -90,7 +91,10 @@ def covariance_sufficiency(dataset: TrajectoryDataset,
         zl[:, :p] = tr.states[:-1]
         zl[:, p:] = tr.inputs
     z = z.reshape(-1, m)
-    sigma = (z.T @ z) / dataset.N
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = (z.T @ z) / dataset.N
+    if not np.isfinite(sigma).all():
+        raise ValueError("the sample covariance overflows float64: rescale the data")
     tol = max(1e-10 if tol is None else float(tol), float(np.finfo(np.float64).tiny))
     scale = np.sqrt(np.diagonal(sigma))
     varies = scale > 0.0

@@ -506,12 +506,14 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
 
     Independent reference route for the closed-form solver, and the
     general-purpose baseline it is timed against.  Refuses systems larger
-    than ``dense_limit`` rows with SizeGuard.  One LAPACK Cholesky
+    than ``dense_limit`` rows with SizeGuard, and a negative
+    ``dense_limit`` with ValueError.  One LAPACK Cholesky
     factorization eliminates the instants in time order; its diagonal
     blocks are the factors of the block pivots.  SingularBlock names the
     first instant whose pivot fails the closed-form route's pivot test or
     where the factorization stops.
     """
+    _integer("dense_limit", dense_limit, nonnegative=True)
     from scipy.linalg import lapack  # deferred as in sim.smd_model; outside the timed part
     start = time.perf_counter()
     n_blocks, m, p = data.N, data.width, data.p

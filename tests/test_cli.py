@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -190,6 +191,18 @@ def test_check_flags_unexcited_dataset(tmp_path, capsys):
     assert report["rank"] == 0
 
 
+def test_check_refuses_data_whose_covariance_overflows(workdir, tmp_path, capsys):
+    """States near the float range exit 1 asking for rescaled data, with no
+    numpy warning (an error under this suite's warning filter)."""
+    record = json.loads((workdir / "data.json").read_text())
+    for tr in record["trajectories"]:
+        tr["states"] = [[v * 1e200 for v in row] for row in tr["states"]]
+    code, out, err = run(capsys, "check", "--data", write_json(tmp_path / "big.json", record))
+    assert code == 1
+    assert "the sample covariance overflows float64: rescale the data" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------- fit
 
 
@@ -244,6 +257,17 @@ def test_fit_oracle_over_its_dense_limit_exits_2(workdir, tmp_path, capsys):
     assert code == 2
     assert "dense system of size 36 exceeds the limit 4" in err
     assert "hint" not in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+def test_fit_oracle_refuses_a_negative_dense_limit(workdir, tmp_path, capsys):
+    out_path = tmp_path / "oracle.json"
+    code, out, err = run(capsys, "fit", "--data", str(workdir / "data.json"),
+                         "--lambda", "1", "--solver", "oracle", "--dense-limit", "-5",
+                         "--out", str(out_path))
+    assert code == 1
+    assert "dense_limit must be a nonnegative integer, got -5" in err
     assert out == ""
     assert not out_path.exists()
 
@@ -566,6 +590,32 @@ def test_rollout_rejects_non_finite_x0_or_reference(plant_files, tmp_path, capsy
         assert not out_path.exists()
 
 
+def test_rollout_that_overflows_exits_2_naming_the_instant(plant_files, tmp_path, capsys):
+    """A closed loop that leaves the float range exits 2 naming the first instant
+    whose state, input or tracking error is not finite, or its overflowing
+    statistics; it writes no CSV, prints no summary and raises no numpy
+    warning (an error under this suite's warning filter)."""
+    plant, gains = str(plant_files / "plant.json"), str(plant_files / "gains.json")
+    doubling = write_json(tmp_path / "doubling.json",
+                          LtvModel.constant([[2.0]], [[0.5]], 20).to_dict())
+    idle = write_json(tmp_path / "idle.json", {"K": [[[0.0]]] * 20})
+    cases = [
+        (plant, gains, "1e308,1e308", "the rollout overflows at instant 0"),
+        # The state 1e150 * 2**k stays finite; its square, and so the tracking
+        # error, overflows first at k = 14.
+        (doubling, idle, "1e150", "the rollout overflows at instant 14"),
+        (plant, gains, "1e154,0", "the rollout's tracking statistics overflow"),
+    ]
+    csv_path = tmp_path / "r.csv"
+    for plant_path, gains_path, x0, needle in cases:
+        code, out, err = run(capsys, "rollout", "--plant", plant_path, "--gains", gains_path,
+                             f"--x0={x0}", "--out", str(csv_path))
+        assert code == 2, err
+        assert needle in err
+        assert out == ""
+        assert not csv_path.exists()
+
+
 def test_lqr_rejects_non_finite_weights(plant_files, tmp_path, capsys):
     out_path = tmp_path / "gains.json"
     for flag, name in (("--q-x", "q_x"), ("--q-v", "q_v"), ("--r", "r")):
@@ -632,6 +682,8 @@ def test_bench_spec_validation(tmp_path, capsys):
         ({"N_grid": [10], "repetitions": 0}, "repetitions must be at least 1"),
         ({"N_grid": [10], "p": 0}, "invalid shapes p=0"),
         ({"N_grid": [10], "lambda": 0}, "lambda must be positive"),
+        ({"N_grid": [10], "solvers": ["oracle"], "dense_limit": -1},
+         "dense_limit must be a nonnegative integer, got -1"),
     ]
     for obj, needle in cases:
         spec = write_json(tmp_path / "spec.json", obj)
@@ -881,6 +933,32 @@ def test_written_files_match_the_python_encoder(tmp_path, monkeypatch):
     assert (tmp_path / "errors.csv").read_bytes() == ("k,error\n" + errors).encode()
 
 
+def test_summaries_match_the_python_encoder(tmp_path, capsys, monkeypatch):
+    """Each command's stdout is json.dumps of its summary, with the default
+    cycle check, plus a newline."""
+    emitted = []
+    emit = cli._emit
+
+    def recording_emit(args, obj):
+        emitted.append(obj)
+        emit(args, obj)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    config = write_json(tmp_path / "config.json", {"smd": {"N": 30}, "L": 3, "seed": 2})
+    f = lambda name: str(tmp_path / name)  # noqa: E731
+    for argv in (["generate", "--config", config, "--out", f("data.json"),
+                  "--model-out", f("truth.json")],
+                 ["check", "--data", f("data.json")],
+                 ["fit", "--data", f("data.json"), "--lambda", "10", "--out", f("model.json")],
+                 ["eval", "--model", f("model.json"), "--truth", f("truth.json")],
+                 ["lqr", "--model", f("model.json"), "--out", f("gains.json")],
+                 ["rollout", "--plant", f("truth.json"), "--gains", f("gains.json"),
+                  "--x0", "1,-0.5"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(emitted.pop(), indent=2) + "\n"
+
+
 # ---------------------------------------------------------------- usage
 
 
@@ -898,6 +976,84 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--data", str(bad))
     assert code == 1
     assert "not valid JSON" in err
+
+
+def outcome(capsys, argv):
+    """Exit code, or ("exit", code) when the parser exits, with stdout and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--quiet"], ["fit"], ["fit", "--lambda", "x", "--data", "d", "--out", "o"],
+    ["fit", "--data", "d", "--out", "o", "extra"], ["rollout", "--x0", "-1,0"],
+    ["--help"], ["fit", "--help"], ["sweep", "-h"],
+])
+def test_one_subparser_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    """A command's own subparser gives the full parser's exit code, help and
+    usage errors; it is the only one built when argv[0] names a command."""
+    built = []
+    build = cli._build_parser
+
+    def recording_build(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "_build_parser", recording_build)
+    got = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+    assert got == outcome(capsys, argv)
+    assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
+
+
+def test_help_lists_every_command(capsys):
+    code, out, _ = outcome(capsys, ["--help"])
+    assert code == ("exit", 0)
+    for name in ("generate", "check", "fit", "eval", "lqr", "rollout", "bench", "sweep"):
+        assert name in out
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collectors_state(workdir, tmp_path, capsys, monkeypatch, collecting):
+    """Commands run with the cyclic collector paused, and main leaves it as it
+    found it on every exit path, also when the caller had disabled it."""
+    data = str(workdir / "data.json")
+    bad = write_json(tmp_path / "bad.json", {"p": 1})
+    seen = []
+    check = cli.covariance_sufficiency
+
+    def recording_check(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return check(*args, **kwargs)
+
+    def escaping_check(*args, **kwargs):
+        raise RuntimeError("escaped")
+
+    monkeypatch.setattr(cli, "covariance_sufficiency", recording_check)
+    cases = [
+        (["check", "--data", data], 0),
+        (["fit"], 1),
+        (["check", "--data", bad], 1),
+        (["fit", "--data", data, "--lambda", "1", "--solver", "oracle", "--dense-limit", "4",
+          "--out", str(tmp_path / "m.json")], 2),
+    ]
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        for argv, expected in cases:
+            assert main(argv + ["--quiet"]) == expected
+            assert gc.isenabled() is collecting
+        assert seen == [False]
+        monkeypatch.setattr(cli, "covariance_sufficiency", escaping_check)
+        with pytest.raises(RuntimeError, match="escaped"):
+            main(["check", "--data", data])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 # ---------------------------------------------------------------- start-up

@@ -146,6 +146,16 @@ def test_covariance_equals_the_concatenated_sample_product():
         assert np.array_equal(covariance_sufficiency(ds).sigma, (z.T @ z) / ds.N)
 
 
+def test_overflowing_covariance_is_refused_without_warning():
+    """States near the float range raise a ValueError asking for rescaled data,
+    not numpy's overflow warnings (errors here) and a failed eigensolver."""
+    ds = generate_dataset(smd_model(SmdConfig(N=30)), 6, seed=1)
+    big = TrajectoryDataset.build(ds.p, ds.q, [(tr.states * 1e200, tr.inputs)
+                                               for tr in ds.trajectories])
+    with pytest.raises(ValueError, match="sample covariance overflows float64"):
+        covariance_sufficiency(big)
+
+
 def test_sufficiency_predicts_solver_outcome():
     rng = np.random.default_rng(34)
     good = random_dataset(rng, 2, 1, 5, 4)

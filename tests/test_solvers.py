@@ -326,6 +326,14 @@ def test_oracle_size_guard():
     assert info.value.limit == 1
 
 
+def test_oracle_refuses_a_negative_size_limit():
+    data, sched = hand_instance()
+    for limit in (-1, True, 2.5):
+        with pytest.raises(ValueError, match="dense_limit must be a"):
+            oracle_solve(data, sched, dense_limit=limit)
+    assert oracle_solve(data, sched, dense_limit=2).model.N == data.N
+
+
 def test_solve_options_validation():
     with pytest.raises(ValueError, match="off/on/auto"):
         SolveOptions(precondition="sometimes")
