@@ -21,7 +21,7 @@ import numpy as np
 from .control import (GainSchedule, LqrWeights, closed_loop_rollout, lqr_synthesize,
                       tracking_stats)
 from .core import (LambdaSchedule, LtvModel, TrajectoryDataset, _array, _dataclass_record,
-                   _finite, _flag, _frozen_array, _integer, _record, assemble_stacked)
+                   _finite, _flag, _integer, _record, assemble_stacked)
 from .diagnostics import covariance_sufficiency, estimation_error, prediction_error
 from .sim import ExcitationSpec, NoiseConfig, SmdConfig, generate_dataset, smd_model
 from .solvers import (SingularBlock, SizeGuard, SolveOptions, SolverError, cosmic_solve,
@@ -91,17 +91,17 @@ class BenchSpec:
     sbcd_max_iters: int = 10**6
 
     def __post_init__(self):
-        object.__setattr__(self, "N_grid", _array("N_grid", self.N_grid, _integer))
+        object.__setattr__(self, "N_grid", _array(
+            "N_grid", self.N_grid, lambda name, v: _integer(name, v, 2)))
         object.__setattr__(self, "solvers", _array("solvers", self.solvers))
-        for name in ("repetitions", "p", "q", "L", "sbcd_max_iters"):
-            _integer(name, getattr(self, name))
-        for name in ("seed", "dense_limit"):
-            _integer(name, getattr(self, name), nonnegative=True)
-        _finite("lambda", self.lam)
-        _finite("sbcd_epsilon", self.sbcd_epsilon)
+        for name, minimum in (("repetitions", 1), ("p", 1), ("q", 0), ("L", 1), ("seed", 0),
+                              ("dense_limit", 0), ("sbcd_max_iters", 0)):
+            _integer(name, getattr(self, name), minimum)
+        _finite("lambda", self.lam, positive=True)
+        _finite("sbcd_epsilon", self.sbcd_epsilon, positive=True)
         _flag("accounting", self.accounting)
-        if not self.N_grid or any(n < 2 for n in self.N_grid):
-            raise ValueError("N_grid must list horizons of at least 2")
+        if not self.N_grid:
+            raise ValueError("N_grid must list at least one horizon")
         if any(b <= a for a, b in zip(self.N_grid, self.N_grid[1:])):
             raise ValueError("N_grid must be strictly ascending")
         for s in self.solvers:
@@ -109,12 +109,6 @@ class BenchSpec:
                 raise ValueError(f"unknown solver {s!r}, expected one of {_SOLVERS}")
         if not self.solvers:
             raise ValueError("solvers must name at least one solver")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if self.p < 1 or self.q < 0 or self.L < 1:
-            raise ValueError(f"invalid shapes p={self.p}, q={self.q}, L={self.L}")
-        if self.lam <= 0.0:
-            raise ValueError("lambda must be positive")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BenchSpec":
@@ -133,23 +127,21 @@ class SweepSpec:
     smd: SmdConfig = SmdConfig()
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_grid", _array("lambda_grid", self.lambda_grid, _finite))
-        object.__setattr__(self, "sigma_grid", tuple(
-            _finite("sigma (noise level)", v, nonnegative=True)
-            for v in _array("sigma_grid", self.sigma_grid)))
+        object.__setattr__(self, "lambda_grid", _array(
+            "lambda_grid", self.lambda_grid, lambda name, v: _finite(name, v, positive=True)))
+        object.__setattr__(self, "sigma_grid", _array(
+            "sigma_grid", self.sigma_grid, lambda name, v: _finite(name, v, nonnegative=True)))
         object.__setattr__(self, "seeds", _array(
-            "seeds", self.seeds, lambda name, v: _integer(name, v, nonnegative=True)))
-        _integer("L", self.L)
-        if not self.lambda_grid or any(v <= 0.0 for v in self.lambda_grid):
-            raise ValueError("lambda_grid must list positive weights")
+            "seeds", self.seeds, lambda name, v: _integer(name, v, 0)))
+        _integer("L", self.L, 1)
+        if not self.lambda_grid:
+            raise ValueError("lambda_grid must list at least one weight")
         if not self.sigma_grid:
-            raise ValueError("sigma_grid must list nonnegative noise levels")
+            raise ValueError("sigma_grid must list at least one noise level")
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
         if self.metric not in ("estimation", "prediction"):
             raise ValueError(f"metric must be estimation or prediction, got {self.metric!r}")
-        if self.L < 1:
-            raise ValueError("L must be at least 1")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepSpec":
@@ -248,19 +240,40 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _refuse_overflow(what: str, series, summary: str, values) -> None:
+    """Raise SolverError when a result computed under ``np.errstate`` left the
+    float range: naming the first instant at which an entry of ``series``
+    (arrays with one entry or row per instant) is not finite, or else with the
+    message ``summary`` when one of the ``values`` summarizing them is not."""
+    bad = [np.flatnonzero(~np.isfinite(s.reshape(len(s), -1)).all(axis=1)) for s in series]
+    first = min((int(b[0]) for b in bad if b.size), default=None)
+    if first is not None:
+        raise SolverError(f"{what} overflows at instant {first}")
+    if not np.isfinite(values).all():
+        raise SolverError(summary)
+
+
 def cmd_eval(args) -> int:
     model = LtvModel.from_dict(_read_json(args.model))
     summary: dict = {"mode": args.mode}
     if args.truth:
         truth = LtvModel.from_dict(_read_json(args.truth))
-        summary["estimation_error"] = estimation_error(model, truth)
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary["estimation_error"] = estimation_error(model, truth)
+            blocks = np.linalg.norm(model.C - truth.C, axis=(1, 2))
+        _refuse_overflow("the estimation error", [blocks], "the estimation error overflows",
+                         summary["estimation_error"])
     if args.data:
         dataset = TrajectoryDataset.from_dict(_read_json(args.data))
         if not 0 <= args.trajectory < dataset.L:
             raise ValueError(f"trajectory index {args.trajectory} out of range 0..{dataset.L - 1}")
-        errors = prediction_error(model, dataset.trajectories[args.trajectory], args.mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors = prediction_error(model, dataset.trajectories[args.trajectory], args.mode)
+            mean = float(np.mean(errors))
+        _refuse_overflow(f"the {args.mode} prediction", [errors],
+                         "the mean prediction error overflows", mean)
         summary["trajectory"] = args.trajectory
-        summary["mean_error"] = float(np.mean(errors))
+        summary["mean_error"] = mean
         summary["max_error"] = float(np.max(errors))
         if args.out:
             _write_csv(args.out, ["k", "error"],
@@ -286,26 +299,21 @@ def cmd_rollout(args) -> int:
     plant = LtvModel.from_dict(_read_json(args.plant))
     gains = GainSchedule.from_dict(_read_json(args.gains))
     try:
-        x0 = np.array([float(v) for v in args.x0.split(",")])
+        x0 = [float(v) for v in args.x0.split(",")]
     except ValueError:
         raise ValueError(f"--x0 must be comma-separated numbers, got {args.x0!r}") from None
     reference = None
     if args.reference:
-        ref_obj = _record("reference record", _read_json(args.reference), ("states",))
-        reference = _frozen_array(ref_obj["states"], "reference states")
+        reference = _record("reference record", _read_json(args.reference), ("states",))["states"]
     noise = NoiseConfig(sigma=args.noise_sigma, seed=args.noise_seed)
     # A loop that leaves the float range runs on through inf and NaN; it is
     # refused here, before anything is written.
     with np.errstate(over="ignore", invalid="ignore"):
         result = closed_loop_rollout(plant, gains, reference, x0, noise)
         stats = tracking_stats(result.tracking_errors)
-    bad = ~np.isfinite(result.tracking_errors) | ~np.isfinite(result.states).all(axis=1)
-    bad[:-1] |= ~np.isfinite(result.inputs).all(axis=1)
-    if bad.any():
-        raise SolverError(f"the rollout overflows at instant {bad.argmax()}: "
-                          "a state, input or tracking error is not finite")
-    if not all(np.isfinite(v) for v in (stats.mean, stats.stddev, stats.sum_sq)):
-        raise SolverError("the rollout's tracking statistics overflow")
+    _refuse_overflow("the rollout", [result.states, result.inputs, result.tracking_errors],
+                     "the rollout's tracking statistics overflow",
+                     [stats.mean, stats.stddev, stats.sum_sq])
     if args.out:
         header = (["k"] + [f"x{i}" for i in range(plant.p)]
                   + [f"u{j}" for j in range(plant.q)] + ["tracking_error"])

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LtvModel, _first_nonfinite, _frozen_array, _in_float_range, _real, _record
+from .core import LtvModel, _finite, _first_nonfinite, _frozen_array, _record
 from .sim import _step
 from .solvers import SolverError, _blockwise
 
@@ -67,11 +67,11 @@ class LqrWeights:
 
     def __post_init__(self):
         for name in ("q_x", "q_v", "r"):
-            value = getattr(self, name)
-            if not (_real(value) and _in_float_range(value) and value > 0.0):
-                raise ValueError(f"LQR weights must be positive and finite, got {name}={value!r}")
+            _finite(name, getattr(self, name), positive=True)
         if self.terminal is not None:
-            term = np.asarray(self.terminal, dtype=np.float64)
+            term = _frozen_array(self.terminal, "terminal cost entries")
+            if not np.isfinite(term).all():
+                raise ValueError("terminal cost is not finite")
             object.__setattr__(self, "terminal", term)
 
     def state_cost(self, p: int) -> Array:
@@ -98,14 +98,17 @@ class GainSchedule:
     P: Optional[Array] = None  # (N+1, p, p)
 
     def __post_init__(self):
-        object.__setattr__(self, "K", np.array(self.K, dtype=np.float64))
+        object.__setattr__(self, "K", _frozen_array(self.K, "gains"))
         if self.K.ndim != 3:
             raise ValueError("gain schedule must be an (N, q, p) array")
-        bad = _first_nonfinite(self.K)
-        if bad is not None:
-            raise ValueError(f"gains at instant {bad[0]} are not finite")
         if self.P is not None:
-            object.__setattr__(self, "P", np.array(self.P, dtype=np.float64))
+            object.__setattr__(self, "P", _frozen_array(self.P, "Riccati solutions"))
+            if self.P.shape != (self.N + 1, self.K.shape[2], self.K.shape[2]):
+                raise ValueError("Riccati solutions must be an (N+1, p, p) array")
+        for what, values in (("gains", self.K), ("Riccati solutions", self.P)):
+            bad = None if values is None else _first_nonfinite(values)
+            if bad is not None:
+                raise ValueError(f"{what} at instant {bad[0]} are not finite")
 
     @property
     def N(self) -> int:
@@ -116,7 +119,7 @@ class GainSchedule:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GainSchedule":
-        return cls(K=_frozen_array(_record("gain record", obj, ("K",))["K"], "gains"))
+        return cls(K=_record("gain record", obj, ("K",))["K"])
 
 
 @dataclass(frozen=True)
@@ -201,8 +204,8 @@ def lqr_synthesize(model: LtvModel, weights: Optional[LqrWeights] = None) -> Gai
     SingularInputCost(k) is raised when S(k) is not positive definite (for
     any q, including a 1x1 block); k is the largest such instant, the one
     where the step-by-step recursion stops, since the scan's P below it
-    need not mean anything.  A terminal cost that is not finite raises
-    ValueError; ``LtvModel`` already rejects a model that is not.
+    need not mean anything.  ``LtvModel`` and ``LqrWeights`` already reject
+    a model or a terminal cost that is not finite.
 
     The combine solves with I + C P where the recursion factors S, so when
     |B R^{-1} B^T| |P| is large the scan can lose about log10 of it in
@@ -213,8 +216,6 @@ def lqr_synthesize(model: LtvModel, weights: Optional[LqrWeights] = None) -> Gai
     p, q, n = model.p, model.q, model.N
     a_seq, b_seq = model.A_seq, model.B_seq
     terminal = weights.terminal_cost(p)
-    if not np.isfinite(terminal).all():
-        raise ValueError("LQR needs a finite terminal cost")
 
     a = np.concatenate([a_seq, np.zeros((1, p, p))])
     c = np.concatenate([b_seq @ b_seq.mT / weights.r, np.zeros((1, p, p))])
@@ -251,13 +252,13 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
     n, p, q = plant.N, plant.p, plant.q
     if gains.K.shape != (n, q, p):
         raise ValueError(f"gain schedule shape {gains.K.shape} does not match plant ({n}, {q}, {p})")
-    ref = np.zeros((n + 1, p)) if reference is None else np.asarray(reference, dtype=np.float64)
+    ref = np.zeros((n + 1, p)) if reference is None else _frozen_array(reference, "reference states")
     if ref.shape != (n + 1, p):
         raise ValueError(f"reference has shape {ref.shape}, expected ({n + 1}, {p})")
     bad = _first_nonfinite(ref)
     if bad is not None:
         raise ValueError(f"reference state at instant {bad[0]} is not finite")
-    x0 = ref[0] if x0 is None else np.asarray(x0, dtype=np.float64)
+    x0 = ref[0] if x0 is None else _frozen_array(x0, "initial state entries")
     if x0.shape != (p,):
         raise ValueError(f"initial state has shape {x0.shape}, expected ({p},)")
     if not np.isfinite(x0).all():
@@ -290,7 +291,7 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
 
 def tracking_stats(errors) -> TrackingStats:
     """Mean, population standard deviation, and sum of squares of an error sequence."""
-    e = np.asarray(errors, dtype=np.float64)
+    e = _frozen_array(errors, "tracking errors")
     if e.ndim != 1 or e.size == 0:
         raise ValueError("tracking statistics need a nonempty error vector")
     return TrackingStats(

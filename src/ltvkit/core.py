@@ -105,19 +105,15 @@ def _array(name: str, values, check=None) -> tuple:
     return tuple(values if check is None else (check(f"{name} entry", v) for v in values))
 
 
-def _integer(name: str, value, nonnegative: bool = False):
-    """``value`` if it is an integer (and >= 0 when ``nonnegative``); bools,
+def _integer(name: str, value, minimum=None):
+    """``value`` if it is an integer (and >= ``minimum`` when given); bools,
     floats and strings raise ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if nonnegative and value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        rule = "a nonnegative integer" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value
-
-
-def _real(value) -> bool:
-    """Whether ``value`` is a real number; bools and strings are not."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
 def _in_float_range(value) -> bool:
@@ -129,12 +125,15 @@ def _in_float_range(value) -> bool:
     return math.isfinite(value)
 
 
-def _finite(name: str, value, nonnegative: bool = False):
+def _finite(name: str, value, nonnegative: bool = False, positive: bool = False):
     """``value`` if it is a real number of float64 range (and >= 0 when
-    ``nonnegative``); NaN, infinities, bools and strings raise ValueError."""
-    if (not _real(value) or not _in_float_range(value)
-            or (nonnegative and value < 0)):
-        kind = "finite nonnegative number" if nonnegative else "finite number"
+    ``nonnegative``, > 0 when ``positive``); NaN, infinities, bools and
+    strings raise ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not _in_float_range(value)
+            or (nonnegative and value < 0) or (positive and value <= 0)):
+        kind = ("finite number > 0" if positive
+                else "finite nonnegative number" if nonnegative else "finite number")
         raise ValueError(f"{name} must be a {kind}, got {value!r}")
     return value
 
@@ -159,9 +158,7 @@ def _first_nonfinite(values: Array):
 
 
 def _check_weight(value) -> None:
-    _finite("smoothness weight", value)
-    if value <= 0.0:
-        raise ValueError(f"smoothness weight must be positive, got {value}")
+    _finite("smoothness weight", value, positive=True)
     if float(value) > _LAMBDA_MAX:
         raise ValueError(
             f"smoothness weight {value} is too large: its square overflows "
@@ -228,12 +225,9 @@ class TrajectoryDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        if self.p < 1:
-            raise ValueError(f"state dimension must be at least 1, got {self.p}")
-        if self.q < 0:
-            raise ValueError(f"input dimension must be nonnegative, got {self.q}")
-        if self.N < 2:
-            raise ValueError(f"horizon must be at least 2 transitions, got {self.N}")
+        _integer("state dimension p", self.p, 1)
+        _integer("input dimension q", self.q, 0)
+        _integer("horizon N", self.N, 2)
         if not self.trajectories:
             raise ValueError("dataset needs at least one trajectory")
         for ell, tr in enumerate(self.trajectories):
@@ -363,9 +357,10 @@ class LtvModel:
     C: Array  # (N, p+q, p)
 
     def __post_init__(self):
+        _integer("state dimension p", self.p, 1)
+        _integer("input dimension q", self.q, 0)
+        _integer("horizon N", self.N, 1)
         object.__setattr__(self, "C", _frozen_array(self.C, "model coefficients"))
-        if self.p < 1 or self.q < 0 or self.N < 1:
-            raise ValueError(f"invalid model dimensions p={self.p}, q={self.q}, N={self.N}")
         if self.C.shape != (self.N, self.p + self.q, self.p):
             raise ValueError(
                 f"coefficient stack has shape {self.C.shape}, "
@@ -396,8 +391,8 @@ class LtvModel:
     @classmethod
     def from_blocks(cls, A_seq, B_seq) -> "LtvModel":
         """Build a model from stacked A (N, p, p) and B (N, p, q) matrices."""
-        a = np.asarray(A_seq, dtype=np.float64)
-        b = np.asarray(B_seq, dtype=np.float64)
+        a = _frozen_array(A_seq, "A matrices")
+        b = _frozen_array(B_seq, "B matrices")
         if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[1] != b.shape[1]:
             raise ValueError("A and B stacks must share the instant and state axes")
         c = np.concatenate([np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)], axis=1)
@@ -406,8 +401,8 @@ class LtvModel:
     @classmethod
     def constant(cls, A, B, N: int) -> "LtvModel":
         """Repeat a single (A, B) pair over N instants."""
-        a = np.asarray(A, dtype=np.float64)
-        b = np.asarray(B, dtype=np.float64)
+        a = _frozen_array(A, "A matrices")
+        b = _frozen_array(B, "B matrices")
         return cls.from_blocks(np.broadcast_to(a, (N,) + a.shape), np.broadcast_to(b, (N,) + b.shape))
 
     def to_dict(self) -> dict:
@@ -416,8 +411,7 @@ class LtvModel:
     @classmethod
     def from_dict(cls, obj: dict) -> "LtvModel":
         _record("model record", obj, ("p", "q", "N", "C"))
-        return cls(p=_integer("p", obj["p"]), q=_integer("q", obj["q"]),
-                   N=_integer("N", obj["N"]), C=obj["C"])
+        return cls(p=obj["p"], q=obj["q"], N=obj["N"], C=obj["C"])
 
 
 @dataclass(frozen=True)
@@ -447,7 +441,7 @@ class LambdaSchedule:
                 raise ValueError("zoned schedule needs at least one breakpoint")
             object.__setattr__(self, "zones", zones)
             if zones[0][0] != 1:
-                raise ValueError(f"zoned schedule must start at instant 1, got {zones[0][0]}")
+                raise ValueError(f"zones must start at instant 1, got {zones[0][0]}")
             for (ka, _), (kb, _) in zip(zones, zones[1:]):
                 if kb <= ka:
                     raise ValueError("zoned schedule breakpoints must be strictly increasing")
@@ -476,8 +470,7 @@ class LambdaSchedule:
 
     def materialize(self, N: int) -> Array:
         """Weights as a vector of length N-1; entry i holds lambda_{i+1}."""
-        if N < 2:
-            raise ValueError(f"horizon must be at least 2 transitions, got {N}")
+        _integer("horizon N", N, 2)
         if self.kind == "scalar":
             return np.full(N - 1, self.value, dtype=np.float64)
         if self.kind == "zoned":

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import LtvModel, Trajectory, TrajectoryDataset, _finite
+from .core import LtvModel, Trajectory, TrajectoryDataset, _finite, _integer
 from .sim import simulate
 
 Array = np.ndarray
@@ -123,8 +123,9 @@ def predicted_multiply_count(N: int, p: int, q: int) -> MultiplyCount:
     per instant.  The total is N * ((p+q)^3 + (2p+3)(p+q)^2), independent
     of the trajectory count.
     """
-    if N < 1 or p < 1 or q < 0:
-        raise ValueError(f"invalid shape N={N}, p={p}, q={q}")
+    _integer("horizon N", N, 1)
+    _integer("state dimension p", p, 1)
+    _integer("input dimension q", q, 0)
     m = p + q
     forward = N * (m**3 + (p + 2) * m * m)
     backward = N * ((p + 1) * m * m)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (LtvModel, Trajectory, TrajectoryDataset, _array, _dataclass_record, _finite,
-                   _flag, _integer)
+                   _flag, _frozen_array, _integer)
 
 Array = np.ndarray
 
@@ -59,17 +59,13 @@ class SmdConfig:
 
     def __post_init__(self):
         for name in ("mass", "k0", "c0", "alpha_k", "alpha_c", "omega", "dt"):
-            _finite(name, getattr(self, name))
-        _integer("horizon N", self.N)
+            _finite(name, getattr(self, name), positive=name in ("mass", "dt"))
+        _integer("horizon N", self.N, 2)
         _flag("ltv", self.ltv)
-        if self.mass <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.dt <= 0.0:
-            raise ValueError(f"sampling period must be positive, got {self.dt}")
-        if abs(self.alpha_k) >= 1.0 or abs(self.alpha_c) >= 1.0:
-            raise ValueError("modulation depths must stay below 1 in magnitude")
-        if self.N < 2:
-            raise ValueError(f"horizon must be at least 2 steps, got {self.N}")
+        for name in ("alpha_k", "alpha_c"):
+            if abs(getattr(self, name)) >= 1.0:
+                raise ValueError(f"{name} must stay below 1 in magnitude, "
+                                 f"got {getattr(self, name)!r}")
 
     to_dict = asdict
 
@@ -87,7 +83,7 @@ class NoiseConfig:
 
     def __post_init__(self):
         _finite("sigma (noise level)", self.sigma, nonnegative=True)
-        _integer("noise seed", self.seed, nonnegative=True)
+        _integer("noise seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -172,12 +168,10 @@ def simulate(model: LtvModel, x0, inputs) -> Array:
 
     Returns the N+1 visited states as rows, starting with x0.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    u = np.asarray(inputs, dtype=np.float64)
+    x0 = _frozen_array(x0, "initial state entries")
+    u = _frozen_array(inputs, "inputs")
     if u.ndim == 1 and model.q == 1:
         u = u[:, None]
-    if u.ndim == 1 and u.size == 0:
-        u = u.reshape(0, model.q)
     if x0.shape != (model.p,):
         raise ValueError(f"initial state has shape {x0.shape}, expected ({model.p},)")
     if u.shape != (model.N, model.q):
@@ -207,10 +201,8 @@ def generate_dataset(model: LtvModel, L: int, excitation: Optional[ExcitationSpe
     instant at a time.  Noise is added to the recorded states only, the
     underlying simulation stays exact.
     """
-    _integer("seed", seed, nonnegative=True)
-    _integer("L (trajectory count)", L)
-    if L < 1:
-        raise ValueError(f"need at least one trajectory, got L={L}")
+    _integer("seed", seed, 0)
+    _integer("L (trajectory count)", L, 1)
     excitation = excitation or ExcitationSpec()
     x0 = np.empty((L, model.p))
     inputs = np.empty((model.N, L, model.q))

@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (LambdaSchedule, LtvModel, StackedData, _cost_and_gradient, _integer,
-                   _real, gradient)
+from .core import (LambdaSchedule, LtvModel, StackedData, _cost_and_gradient, _finite,
+                   _integer, gradient)
 from .diagnostics import predicted_multiply_count
 
 Array = np.ndarray
@@ -208,15 +208,18 @@ def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     (lambda_k + lambda_{k+1}) I in the interior, and lambda_{N-1} I at
     k = N-1; couplings are -lambda_k I; right-hand sides are D(k)^T Xnext(k)^T.
     Both are batched matmuls; the Gram blocks are ``_gram``'s plain GEMM,
-    made exactly symmetric.
+    made exactly symmetric.  Data whose products overflow float64 raise
+    SolverError.
     """
     lam = sched.materialize(data.N)
-    gram = _gram(data.D)
-    theta = data.D.mT @ data.Xnext.mT
     shift = np.zeros(data.N)
     shift[:-1] += lam
     shift[1:] += lam
-    skk = gram + shift[:, None, None] * np.eye(data.width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = data.D.mT @ data.Xnext.mT
+        skk = _gram(data.D) + shift[:, None, None] * np.eye(data.width)
+    if not (np.isfinite(skk).all() and np.isfinite(theta).all()):
+        raise SolverError("the data's products overflow float64: rescale the data")
     return TridiagonalSystem(skk=skk, lam=lam, theta=theta)
 
 
@@ -513,7 +516,7 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
     first instant whose pivot fails the closed-form route's pivot test or
     where the factorization stops.
     """
-    _integer("dense_limit", dense_limit, nonnegative=True)
+    _integer("dense_limit", dense_limit, 0)
     from scipy.linalg import lapack  # deferred as in sim.smd_model; outside the timed part
     start = time.perf_counter()
     n_blocks, m, p = data.N, data.width, data.p
@@ -562,10 +565,9 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
     initial blocks, then one permutation per sweep, so equal seeds give
     bit-identical iterate sequences.
     """
-    if not (_real(epsilon) and epsilon > 0.0):
-        raise ValueError(f"stopping tolerance must be positive, got {epsilon!r}")
-    _integer("sweep budget", max_iters, nonnegative=True)
-    _integer("seed", seed, nonnegative=True)
+    _finite("epsilon (stopping tolerance)", epsilon, positive=True)
+    _integer("max_iters (sweep budget)", max_iters, 0)
+    _integer("seed", seed, 0)
     start = time.perf_counter()
     system = build_system(data, sched)
     skk, lam, theta = system.skk, system.lam, system.theta

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ltvkit import (LambdaSchedule, LtvModel, TrajectoryDataset, assemble_stacked, cli,
-                    cosmic_solve)
+from ltvkit import (LambdaSchedule, LtvModel, SmdConfig, TrajectoryDataset, assemble_stacked,
+                    cli, cosmic_solve, generate_dataset, smd_model)
 from ltvkit.cli import _COVARIANCE_HINT, _fmt, main
 
 HINT = "dataset covariance not positive definite - collect more varied trajectories"
@@ -206,6 +206,23 @@ def test_check_refuses_data_whose_covariance_overflows(workdir, tmp_path, capsys
 # ---------------------------------------------------------------- fit
 
 
+def test_fit_names_products_that_overflow(workdir, tmp_path, capsys):
+    """States near the float range exit 2 saying the data's products overflow,
+    with no numpy warning and no hint that blames the data's variety."""
+    record = json.loads((workdir / "data.json").read_text())
+    for tr in record["trajectories"]:
+        tr["states"] = [[v * 1e200 for v in row] for row in tr["states"]]
+    data = write_json(tmp_path / "big.json", record)
+    out_path = tmp_path / "model.json"
+    for solver in ("cosmic", "sbcd", "oracle"):
+        code, out, err = run(capsys, "fit", "--data", data, "--lambda", "1e5",
+                             "--solver", solver, "--out", str(out_path))
+        assert code == 2
+        assert err == "error: the data's products overflow float64: rescale the data\n"
+        assert out == ""
+        assert not out_path.exists()
+
+
 def test_fit_solvers_agree(workdir, tmp_path, capsys):
     data = str(workdir / "data.json")
     code_a, out_a, _ = run(capsys, "fit", "--data", data, "--lambda", "1e-2",
@@ -239,14 +256,17 @@ def test_fit_sbcd_converges_to_same_cost(workdir, tmp_path, capsys):
 
 
 def test_fit_sbcd_rejects_nan_epsilon(workdir, tmp_path, capsys):
+    # An infinite tolerance once stopped before the first sweep, reporting
+    # the random start as converged.
     out_path = tmp_path / "sbcd.json"
-    code, out, err = run(capsys, "fit", "--data", str(workdir / "data.json"),
-                         "--lambda", "1", "--solver", "sbcd", "--epsilon", "nan",
-                         "--max-iters", "300", "--out", str(out_path))
-    assert code == 1
-    assert "stopping tolerance" in err
-    assert out == ""
-    assert not out_path.exists()
+    for epsilon in ("nan", "inf"):
+        code, out, err = run(capsys, "fit", "--data", str(workdir / "data.json"),
+                             "--lambda", "1", "--solver", "sbcd", "--epsilon", epsilon,
+                             "--max-iters", "300", "--out", str(out_path))
+        assert code == 1
+        assert f"epsilon (stopping tolerance) must be a finite number > 0, got {epsilon}" in err
+        assert out == ""
+        assert not out_path.exists()
 
 
 def test_fit_oracle_over_its_dense_limit_exits_2(workdir, tmp_path, capsys):
@@ -616,6 +636,34 @@ def test_rollout_that_overflows_exits_2_naming_the_instant(plant_files, tmp_path
         assert not csv_path.exists()
 
 
+def test_eval_that_overflows_exits_2_naming_the_instant(tmp_path, capsys):
+    """A prediction or an estimation error that leaves the float range exits
+    2 naming the first instant where it does, with no numpy warning, and
+    writes no CSV."""
+    truth = smd_model(SmdConfig(N=40))
+    data = write_json(tmp_path / "data.json", generate_dataset(truth, 2, seed=1).to_dict())
+    # x(k+1) = 1e10 x(k) + u(k) leaves the float range after about 30 steps.
+    blowup = write_json(tmp_path / "blowup.json",
+                        LtvModel.constant(1e10 * np.eye(2), [[1.0], [1.0]], 40).to_dict())
+    c = np.zeros((40, 3, 2))
+    c[7:] = 1e200
+    high = write_json(tmp_path / "high.json", LtvModel(p=2, q=1, N=40, C=c).to_dict())
+    low = write_json(tmp_path / "low.json", LtvModel(p=2, q=1, N=40, C=-c).to_dict())
+    csv_path = tmp_path / "e.csv"
+    cases = [
+        (("--model", blowup, "--data", data, "--mode", "rollout"),
+         "the rollout prediction overflows at instant 15"),
+        (("--model", high, "--truth", low, "--data", data),
+         "the estimation error overflows at instant 7"),
+    ]
+    for argv, needle in cases:
+        code, out, err = run(capsys, "eval", *argv, "--out", str(csv_path))
+        assert code == 2, err
+        assert err == f"error: {needle}\n"
+        assert out == ""
+        assert not csv_path.exists()
+
+
 def test_lqr_rejects_non_finite_weights(plant_files, tmp_path, capsys):
     out_path = tmp_path / "gains.json"
     for flag, name in (("--q-x", "q_x"), ("--q-v", "q_v"), ("--r", "r")):
@@ -623,7 +671,7 @@ def test_lqr_rejects_non_finite_weights(plant_files, tmp_path, capsys):
             code, _, err = run(capsys, "lqr", "--model", str(plant_files / "plant.json"),
                                "--out", str(out_path), flag, value)
             assert code == 1
-            assert f"got {name}=" in err
+            assert f"{name} must be a finite number > 0, got {value}" in err
             assert not out_path.exists()
 
 
@@ -680,8 +728,9 @@ def test_bench_spec_validation(tmp_path, capsys):
         ({"N_grid": [10], "budget": 3}, "unknown keys"),
         ({"solvers": ["cosmic"]}, "N_grid is required"),
         ({"N_grid": [10], "repetitions": 0}, "repetitions must be at least 1"),
-        ({"N_grid": [10], "p": 0}, "invalid shapes p=0"),
-        ({"N_grid": [10], "lambda": 0}, "lambda must be positive"),
+        ({"N_grid": [10], "p": 0}, "p must be at least 1, got 0"),
+        ({"N_grid": [10], "lambda": 0}, "lambda must be a finite number > 0, got 0"),
+        ({"N_grid": [10], "solvers": []}, "solvers must name at least one solver"),
         ({"N_grid": [10], "solvers": ["oracle"], "dense_limit": -1},
          "dense_limit must be a nonnegative integer, got -1"),
     ]
@@ -728,12 +777,13 @@ def test_sweep_prediction_metric(tmp_path, capsys):
 
 def test_sweep_spec_validation(tmp_path, capsys):
     cases = [
-        ({"lambda_grid": [0.0], "sigma_grid": [0.0]}, "positive weights"),
+        ({"lambda_grid": [0.0], "sigma_grid": [0.0]},
+         "lambda_grid entry must be a finite number > 0, got 0.0"),
         ({"lambda_grid": [1.0], "sigma_grid": [0.0], "metric": "bias"},
          "metric must be estimation or prediction"),
         ({"lambda_grid": [1.0]}, "sigma_grid is required"),
         ({"lambda_grid": [1.0], "sigma_grid": [float("nan")], "seeds": [0],
-          "smd": {"N": 10}}, "sigma (noise level)"),
+          "smd": {"N": 10}}, "sigma_grid entry must be a finite nonnegative number, got nan"),
     ]
     for obj, needle in cases:
         spec = write_json(tmp_path / "spec.json", obj)

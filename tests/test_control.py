@@ -45,13 +45,13 @@ def test_weights_build_diagonal_costs():
 
 
 def test_weights_validation():
-    with pytest.raises(ValueError, match="LQR weights must be positive"):
+    with pytest.raises(ValueError, match="^q_x must be a finite number > 0, got 0.0$"):
         LqrWeights(q_x=0.0)
-    with pytest.raises(ValueError, match="LQR weights must be positive"):
+    with pytest.raises(ValueError, match="^r must be a finite number > 0, got -1.0$"):
         LqrWeights(r=-1.0)
     for name in ("q_x", "q_v", "r"):
         for bad in (float("nan"), float("inf"), True, "1", None, 10**400):
-            with pytest.raises(ValueError, match=f"finite, got {name}="):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got "):
                 LqrWeights(**{name: bad})
     assert LqrWeights(q_x=np.float32(2.0), r=3).q_x == 2.0
     with pytest.raises(ValueError, match="terminal cost has shape"):
@@ -199,6 +199,25 @@ def test_riccati_call_count_grows_logarithmically():
     # A loop over instants would make 16 times the calls at 16 times the horizon.
     short, long = (count_calls(lqr_synthesize, smd_model(SmdConfig(N=n))) for n in (256, 4096))
     assert long < 2 * short
+
+
+def test_gain_schedule_arrays_are_numeric_and_read_only():
+    # Strings and booleans were once taken as gains, and K stayed writable.
+    for bad in ([[["1.5"]]], [[[True]]], np.ones((2, 1, 1), dtype=bool)):
+        with pytest.raises(ValueError, match="^gains are not a numeric array$"):
+            GainSchedule(K=bad)
+    with pytest.raises(ValueError, match="^Riccati solutions are not a numeric array$"):
+        GainSchedule(K=np.zeros((2, 1, 1)), P=[[["1"]]] * 3)
+    gains = lqr_synthesize(double_integrator(4))
+    for array in (gains.K, gains.P):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] = 1.0
+    terminal = np.eye(2)
+    weights = LqrWeights(terminal=terminal)
+    terminal[0, 0] = 5.0
+    assert weights.terminal[0, 0] == 1.0
+    with pytest.raises(ValueError, match="^terminal cost entries are not a numeric array$"):
+        LqrWeights(terminal=[["1", 0.0], [0.0, 1.0]])
 
 
 def test_gain_schedule_serialization():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ltvkit import (LambdaSchedule, LtvModel, StackedData, TrajectoryDataset,
+from ltvkit import (LambdaSchedule, LtvModel, StackedData, Trajectory, TrajectoryDataset,
                     assemble_stacked, cost, cost_terms, gradient)
 
 from _cases import dense_reference_solution, hand_instance, random_dataset
@@ -101,6 +101,53 @@ def test_dataset_dimension_bounds():
         TrajectoryDataset.build(1, 0, [])
 
 
+def test_dimensions_must_be_integers():
+    # Each was once accepted: A(0) then failed with a TypeError, and p=True
+    # stood for 1.
+    with pytest.raises(ValueError, match="^state dimension p must be an integer, got 2.0$"):
+        LtvModel(p=2.0, q=1, N=3, C=np.zeros((3, 3, 2)))
+    states = Trajectory(states=np.zeros((3, 1)), inputs=np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="^state dimension p must be an integer, got True$"):
+        TrajectoryDataset(p=True, q=0, N=2, trajectories=(states,))
+
+
+# Shape rules that no other test reaches, each with the message naming it.
+_SHAPE_RULES = [
+    (lambda: TrajectoryDataset.build(2, 0, [(np.zeros((3, 2, 1)), None)]),
+     "trajectory 0: states must be a matrix of rows"),
+    (lambda: Trajectory(states=np.zeros(3), inputs=np.zeros((2, 1))),
+     "trajectory states and inputs must be 2-D arrays"),
+    (lambda: TrajectoryDataset(p=1, q=0, N=2, trajectories=()),
+     "dataset needs at least one trajectory"),
+    (lambda: StackedData(D=np.ones((4, 3)), Xnext=np.ones((4, 1, 3))),
+     "stacked data must be 3-D arrays"),
+    (lambda: StackedData(D=np.ones((4, 3, 2)), Xnext=np.ones((5, 1, 3))),
+     "stacked data disagree on the number of instants"),
+    (lambda: StackedData(D=np.ones((4, 3, 2)), Xnext=np.ones((4, 1, 2))),
+     "stacked data disagree on the number of trajectories"),
+    (lambda: StackedData(D=np.ones((4, 3, 2)), Xnext=np.ones((4, 3, 3))),
+     "state dimension exceeds the regressor width"),
+    (lambda: LtvModel.from_blocks(np.zeros((3, 2, 2)), np.zeros((4, 2, 1))),
+     "A and B stacks must share the instant and state axes"),
+    (lambda: LtvModel.from_blocks(np.zeros((3, 2, 2)), np.zeros((3, 1, 1))),
+     "A and B stacks must share the instant and state axes"),
+    (lambda: LtvModel.constant(np.eye(2), [["0.5"], [1.0]], 3), "B matrices are not a numeric array"),
+    (lambda: LambdaSchedule.per_instant([]), "per-instant schedule must be a nonempty vector"),
+    (lambda: LambdaSchedule.per_instant([[1.0, 2.0]]),
+     "per-instant schedule must be a nonempty vector"),
+]
+
+
+@pytest.mark.parametrize("build, needle", _SHAPE_RULES,
+                         ids=["rows", "trajectory", "dataset", "stacked-ndim", "stacked-instants",
+                              "stacked-trajectories", "stacked-width", "blocks-instants",
+                              "blocks-states", "blocks-numeric", "per-instant-empty",
+                              "per-instant-matrix"])
+def test_shape_rules_raise_value_error_naming_the_rule(build, needle):
+    with pytest.raises(ValueError, match=f"^{needle}$"):
+        build()
+
+
 def test_dataset_rejects_non_finite_values():
     states = np.ones((6, 2))
     states[3, 1] = np.nan
@@ -176,7 +223,7 @@ def test_model_constant_and_from_blocks():
 def test_model_validation_and_round_trip():
     with pytest.raises(ValueError, match="coefficient stack"):
         LtvModel(p=2, q=1, N=3, C=np.zeros((3, 2, 2)))
-    with pytest.raises(ValueError, match="invalid model dimensions"):
+    with pytest.raises(ValueError, match="^state dimension p must be at least 1, got 0$"):
         LtvModel(p=0, q=0, N=1, C=np.zeros((1, 0, 0)))
     model = random_model(np.random.default_rng(4), 1, 2, 3)
     again = LtvModel.from_dict(model.to_dict())
@@ -218,7 +265,7 @@ def test_schedule_zoned_validation():
         LambdaSchedule.zoned([(2, 1.0)])
     with pytest.raises(ValueError, match="strictly increasing"):
         LambdaSchedule.zoned([(1, 1.0), (1, 2.0)])
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="smoothness weight must be a finite number > 0"):
         LambdaSchedule.zoned([(1, -1.0)])
     with pytest.raises(ValueError, match="beyond the last instant"):
         LambdaSchedule.zoned([(1, 1.0), (5, 2.0)]).materialize(5)
@@ -231,7 +278,7 @@ def test_schedule_per_instant():
     assert_allclose(sched.materialize(4), [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="length 3, expected 4"):
         sched.materialize(5)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="smoothness weight must be a finite number > 0"):
         LambdaSchedule.per_instant([1.0, 0.0])
     out = sched.materialize(4)
     out[0] = 99.0

@@ -210,8 +210,10 @@ def test_predicted_count_split_sums():
 
 
 def test_predicted_count_validation():
-    for n, p, q in ((0, 2, 1), (5, 0, 1), (5, 2, -1)):
-        with pytest.raises(ValueError, match="invalid shape"):
+    for n, p, q, message in ((0, 2, 1, "horizon N must be at least 1, got 0"),
+                             (5, 0, 1, "state dimension p must be at least 1, got 0"),
+                             (5, 2, -1, "input dimension q must be a nonnegative integer, got -1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             predicted_multiply_count(n, p, q)
 
 

@@ -15,17 +15,24 @@ random drifting plants with N from 1 to 60, p from 1 to 6 and q from 0 to 3
 under random gains, with and without measurement noise and a reference,
 and are replayed through ``simulate``.  The JSON loaders
 get records whose keys are their own and whose values are mostly plausible,
-otherwise any JSON value.  Hypothesis runs derandomized and without an
-example database, so every run checks the same examples.
+otherwise any JSON value.  Every numeric setting of the value objects and
+of ``sbcd_solve`` gets bools, numeric strings, NaN, infinities and values
+outside its range.  Hypothesis runs derandomized and without an example
+database, so every run checks the same examples.
 """
 
+import math
+import re
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ltvkit import (ExcitationSpec, GainSchedule, LambdaSchedule, LqrWeights, LtvModel,
-                    NoiseConfig, SmdConfig, TrajectoryDataset, assemble_stacked,
-                    closed_loop_rollout, cosmic_solve, lqr_synthesize, oracle_solve, simulate)
+                    NoiseConfig, SmdConfig, Trajectory, TrajectoryDataset, assemble_stacked,
+                    closed_loop_rollout, cosmic_solve, lqr_synthesize, oracle_solve, sbcd_solve,
+                    simulate)
 from ltvkit.cli import BenchSpec, SweepSpec
 
 from _cases import (dense_reference_solution, drifting_plant, random_dataset, relative_gap,
@@ -212,3 +219,108 @@ def test_loaders_return_an_instance_or_raise_value_error(case):
         load(obj)
     except ValueError:
         pass
+
+
+# Values outside each field's range: below an integer's minimum, at or below
+# zero for a positive number, below zero for a nonnegative one, above the
+# bound of a smoothness weight or a modulation depth, and beyond float64 for
+# a number or array entry with no other bound.
+def _below(minimum):
+    return st.integers(max_value=minimum - 1)
+
+
+_NOT_POSITIVE = st.floats(max_value=0.0, allow_nan=False)
+_NEGATIVE = st.floats(max_value=-5e-324, allow_nan=False)
+_BEYOND_FLOAT = st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
+_BAD_WEIGHT = _NOT_POSITIVE | st.floats(min_value=1.35e154)
+_TRAJECTORY = Trajectory(states=np.zeros((3, 1)), inputs=np.zeros((2, 0)))
+_HAND_DATA = assemble_stacked(TrajectoryDataset.build(1, 0, [([1.0, 0.5, 0.2], None)]))
+
+
+def _fields(build, defaults, rules, name=None):
+    """One case per (field, needle, out-of-range values) rule: ``build`` with
+    ``defaults`` and the field set to the value under test."""
+    return [pytest.param(lambda v, field=field: build(**{**defaults, field: v}), needle, bad,
+                         id=f"{name or build.__name__}.{field}")
+            for field, needle, bad in rules]
+
+
+def _entry(name, build, needle, out_of_range=_BEYOND_FLOAT):
+    """A list or array field, given the value under test as one entry."""
+    return pytest.param(build, needle, out_of_range, id=name)
+
+
+_SHARED_RULES = [
+    *_fields(LtvModel, dict(p=1, q=1, N=2, C=np.zeros((2, 2, 1))), [
+        ("p", "state dimension p", _below(1)), ("q", "input dimension q", _below(0)),
+        ("N", "horizon N", _below(1))]),
+    _entry("LtvModel.C", lambda v: LtvModel(p=1, q=1, N=2, C=[[[0.0], [v]], [[0.0], [0.0]]]),
+           "model coefficients"),
+    *_fields(TrajectoryDataset, dict(p=1, q=0, N=2, trajectories=(_TRAJECTORY,)), [
+        ("p", "state dimension p", _below(1)), ("q", "input dimension q", _below(0)),
+        ("N", "horizon N", _below(2))]),
+    _entry("TrajectoryDataset.states",
+           lambda v: TrajectoryDataset.build(1, 1, [([[0.0], [v], [1.0]], [[1.0], [0.0]])]),
+           "trajectory 0: states"),
+    _entry("TrajectoryDataset.inputs",
+           lambda v: TrajectoryDataset.build(1, 1, [([[0.0], [0.5], [1.0]], [[1.0], [v]])]),
+           "trajectory 0: inputs"),
+    _entry("GainSchedule.K", lambda v: GainSchedule(K=[[[0.5]], [[v]]]), "gains"),
+    _entry("GainSchedule.P", lambda v: GainSchedule(K=[[[0.5]]], P=[[[1.0]], [[v]]]),
+           "Riccati solutions"),
+    *_fields(LqrWeights, {}, [(name, name, _NOT_POSITIVE) for name in ("q_x", "q_v", "r")]),
+    _entry("LqrWeights.terminal", lambda v: LqrWeights(terminal=[[1.0, 0.0], [0.0, v]]),
+           "terminal cost"),
+    *_fields(SmdConfig, {}, [
+        ("mass", "mass", _NOT_POSITIVE), ("dt", "dt", _NOT_POSITIVE),
+        *((name, name, _BEYOND_FLOAT) for name in ("k0", "c0", "omega")),
+        *((name, name, st.floats(min_value=1.0) | st.floats(max_value=-1.0))
+          for name in ("alpha_k", "alpha_c")),
+        ("N", "horizon N", _below(2))]),
+    *_fields(NoiseConfig, {}, [("sigma", "sigma", _NEGATIVE), ("seed", "noise seed", _below(0))]),
+    *_fields(ExcitationSpec, {}, [("x0_scale", "x0_scale", _NEGATIVE),
+                                  ("input_scale", "input_scale", _NEGATIVE)]),
+    _entry("ExcitationSpec.frequencies", lambda v: ExcitationSpec(frequencies=(0.3, v)),
+           "frequencies entry"),
+    _entry("LambdaSchedule.value", LambdaSchedule.scalar, "smoothness weight", _BAD_WEIGHT),
+    _entry("LambdaSchedule.zones.weight", lambda v: LambdaSchedule.zoned([(1, 1.0), (3, v)]),
+           "smoothness weight", _BAD_WEIGHT),
+    _entry("LambdaSchedule.zones.start", lambda v: LambdaSchedule.zoned([(v, 1.0)]), "zones",
+           _below(1)),
+    _entry("LambdaSchedule.values", lambda v: LambdaSchedule.per_instant([1.0, v]),
+           "smoothness weight", _BAD_WEIGHT),
+    _entry("BenchSpec.N_grid", lambda v: BenchSpec(N_grid=(10, v)), "N_grid entry", _below(2)),
+    *_fields(BenchSpec, dict(N_grid=(10,)), [
+        ("repetitions", "repetitions", _below(1)), ("p", "p", _below(1)),
+        ("q", "q", _below(0)), ("L", "L", _below(1)), ("seed", "seed", _below(0)),
+        ("dense_limit", "dense_limit", _below(0)),
+        ("sbcd_max_iters", "sbcd_max_iters", _below(0)), ("lam", "lambda", _NOT_POSITIVE),
+        ("sbcd_epsilon", "sbcd_epsilon", _NOT_POSITIVE)]),
+    _entry("SweepSpec.lambda_grid", lambda v: SweepSpec(lambda_grid=(v,), sigma_grid=(0.0,)),
+           "lambda_grid entry", _NOT_POSITIVE),
+    _entry("SweepSpec.sigma_grid", lambda v: SweepSpec(lambda_grid=(1.0,), sigma_grid=(v,)),
+           "sigma_grid entry", _NEGATIVE),
+    _entry("SweepSpec.seeds", lambda v: SweepSpec((1.0,), (0.0,), seeds=(v,)), "seeds entry",
+           _below(0)),
+    *_fields(SweepSpec, dict(lambda_grid=(1.0,), sigma_grid=(0.0,)), [("L", "L", _below(1))]),
+    *_fields(lambda **kwargs: sbcd_solve(_HAND_DATA, LambdaSchedule.scalar(1.0), **kwargs), {},
+             [("epsilon", "epsilon", _NOT_POSITIVE), ("max_iters", "max_iters", _below(0)),
+              ("seed", "seed", _below(0))], name="sbcd_solve"),
+]
+
+_NUMERIC_STRINGS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                    | st.integers().map(str))
+
+
+@pytest.mark.parametrize("build, needle, out_of_range", _SHARED_RULES)
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_every_setting_refuses_what_the_shared_rules_refuse(build, needle, out_of_range, data):
+    """Each numeric setting of the value objects and of ``sbcd_solve`` refuses
+    a bool, a numeric string, NaN, both infinities and a value outside its
+    range with a ValueError whose message starts with its name; a list or an
+    array gets the value as one of its entries."""
+    for value in (data.draw(st.booleans()), data.draw(_NUMERIC_STRINGS), math.nan, math.inf,
+                  -math.inf, data.draw(out_of_range)):
+        with pytest.raises(ValueError, match=f"^{re.escape(needle)}"):
+            build(value)

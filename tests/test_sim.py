@@ -66,13 +66,13 @@ def test_discretization_matches_series_expansion():
 
 
 def test_plant_config_validation():
-    with pytest.raises(ValueError, match="mass must be positive"):
+    with pytest.raises(ValueError, match="^mass must be a finite number > 0, got 0.0$"):
         SmdConfig(mass=0.0)
-    with pytest.raises(ValueError, match="sampling period must be positive"):
+    with pytest.raises(ValueError, match="^dt must be a finite number > 0, got -0.1$"):
         SmdConfig(dt=-0.1)
-    with pytest.raises(ValueError, match="modulation depths"):
+    with pytest.raises(ValueError, match="^alpha_k must stay below 1 in magnitude, got 1.0$"):
         SmdConfig(alpha_k=1.0)
-    with pytest.raises(ValueError, match="horizon must be at least 2"):
+    with pytest.raises(ValueError, match="^horizon N must be at least 2, got 1$"):
         SmdConfig(N=1)
     with pytest.raises(ValueError, match="malformed plant config"):
         SmdConfig.from_dict({"mass": 1.0, "spring": 2.0})
@@ -183,6 +183,16 @@ def test_simulate_validation():
         simulate(model, [1.0], np.zeros((3, 1)))
     with pytest.raises(ValueError, match="inputs have shape"):
         simulate(model, [1.0, 2.0], np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="^inputs are not a numeric array$"):
+        simulate(model, [1.0, 2.0], ["1", "0", "1"])
+    with pytest.raises(ValueError, match="^initial state entries are not a numeric array$"):
+        simulate(model, [True, 2.0], np.zeros((3, 1)))
+    # A single input channel may be given as a plain sequence.
+    assert np.array_equal(simulate(model, [1.0, 2.0], [1.0, 0.0, -1.0]),
+                          simulate(model, [1.0, 2.0], [[1.0], [0.0], [-1.0]]))
+    still = LtvModel.constant(np.eye(2), np.zeros((2, 0)), 3)
+    with pytest.raises(ValueError, match=r"^inputs have shape \(0,\), expected \(3, 0\)$"):
+        simulate(still, [1.0, 2.0], [])
 
 
 # ---------------------------------------------------------------- datasets
@@ -259,7 +269,7 @@ def test_excitation_variants():
     gauss = generate_dataset(
         model, 1, excitation=ExcitationSpec(x0="gaussian", x0_scale=3.0))
     assert gauss.trajectories[0].states.shape == (9, 2)
-    with pytest.raises(ValueError, match="at least one trajectory"):
+    with pytest.raises(ValueError, match=r"^L \(trajectory count\) must be at least 1, got 0$"):
         generate_dataset(model, 0)
 
 

@@ -652,9 +652,24 @@ def test_sbcd_cost_never_increases_across_sweeps():
         assert after <= before * (1 + 1e-12) + 1e-12
 
 
+def test_overflowing_products_raise_solver_error():
+    """States near the float range make build_system's Gram and right-hand
+    side products overflow; every route says so, without a numpy warning
+    (an error under this suite's filter) and without blaming a pivot."""
+    ds = generate_dataset(smd_model(SmdConfig(N=30)), 6, seed=1)
+    big = assemble_stacked(TrajectoryDataset.build(
+        ds.p, ds.q, [(tr.states * 1e200, tr.inputs) for tr in ds.trajectories]))
+    sched = LambdaSchedule.scalar(1e5)
+    for solve in (build_system, cosmic_solve, sbcd_solve, oracle_solve):
+        with pytest.raises(solvers.SolverError) as info:
+            solve(big, sched)
+        assert type(info.value) is solvers.SolverError
+        assert str(info.value) == "the data's products overflow float64: rescale the data"
+
+
 def test_sbcd_argument_validation():
     data, sched = hand_instance()
-    for epsilon in (0.0, -1.0, float("nan"), True, "1", None):
+    for epsilon in (0.0, -1.0, float("nan"), float("inf"), 10**400, True, "1", None):
         with pytest.raises(ValueError, match="stopping tolerance"):
             sbcd_solve(data, sched, epsilon=epsilon)
     for max_iters in (-1, 1.5, True, "1"):
