@@ -40,13 +40,8 @@ class SingularInputCost(SolverError):
         super().__init__(f"input cost block at instant {instant} is not positive definite")
 
 
-def position_coordinates(p: int, mask=None) -> np.ndarray:
-    """Indices of the position-like coordinates: the first ceil(p/2) by default."""
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (p,) or not mask.any():
-            raise ValueError(f"position mask must select at least one of {p} coordinates")
-        return np.flatnonzero(mask)
+def position_coordinates(p: int) -> np.ndarray:
+    """Indices of the position-like coordinates: the first ceil(p/2)."""
     return np.arange((p + 1) // 2)
 
 
@@ -54,16 +49,13 @@ def position_coordinates(p: int, mask=None) -> np.ndarray:
 class LqrWeights:
     """Diagonal LQR weights: q_x on positions, q_v on the rest, r on inputs.
 
-    ``terminal`` overrides the terminal state cost (default: same as the
-    running state cost).  ``position_mask`` overrides which coordinates
-    count as positions.
+    ``terminal`` overrides the terminal state cost (default: the running one).
     """
 
     q_x: float = 1.0
     q_v: float = 0.1
     r: float = 1e-3
     terminal: Optional[Array] = None
-    position_mask: Optional[tuple[bool, ...]] = None
 
     def __post_init__(self):
         for name in ("q_x", "q_v", "r"):
@@ -76,7 +68,7 @@ class LqrWeights:
 
     def state_cost(self, p: int) -> Array:
         diag = np.full(p, self.q_v)
-        diag[position_coordinates(p, self.position_mask)] = self.q_x
+        diag[position_coordinates(p)] = self.q_x
         return np.diag(diag)
 
     def input_cost(self, q: int) -> Array:
@@ -205,7 +197,8 @@ def lqr_synthesize(model: LtvModel, weights: Optional[LqrWeights] = None) -> Gai
     any q, including a 1x1 block); k is the largest such instant, the one
     where the step-by-step recursion stops, since the scan's P below it
     need not mean anything.  ``LtvModel`` and ``LqrWeights`` already reject
-    a model or a terminal cost that is not finite.
+    a model or a terminal cost that is not finite; a recursion that
+    overflows float64 raises SolverError.
 
     The combine solves with I + C P where the recursion factors S, so when
     |B R^{-1} B^T| |P| is large the scan can lose about log10 of it in
@@ -218,9 +211,14 @@ def lqr_synthesize(model: LtvModel, weights: Optional[LqrWeights] = None) -> Gai
     terminal = weights.terminal_cost(p)
 
     a = np.concatenate([a_seq, np.zeros((1, p, p))])
-    c = np.concatenate([b_seq @ b_seq.mT / weights.r, np.zeros((1, p, p))])
     j = np.concatenate([np.broadcast_to(weights.state_cost(p), (n, p, p)), terminal[None]])
-    ric = _riccati_suffix_scan(a, c, j)
+    try:
+        with np.errstate(over="raise"):
+            c = np.concatenate([b_seq @ b_seq.mT / weights.r, np.zeros((1, p, p))])
+            ric = _riccati_suffix_scan(a, c, j)
+    except FloatingPointError:
+        raise SolverError("the Riccati recursion overflows float64: "
+                          "rescale the model or the weights") from None
     ric[n] = terminal  # as given, like the recursion; the scan symmetrizes
 
     pb = ric[1:] @ b_seq
@@ -234,7 +232,7 @@ def lqr_synthesize(model: LtvModel, weights: Optional[LqrWeights] = None) -> Gai
 
 
 def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
-                        x0=None, noise=None, position_mask=None) -> RolloutResult:
+                        x0=None, noise=None) -> RolloutResult:
     """Apply a gain schedule to a plant and track a reference trajectory.
 
     The control law is u(k) = -K(k) (x(k) - ref(k)), evaluated on the
@@ -284,7 +282,7 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
         np.dot(error, kt, out=u)
         _step(x, u, a_t, b_t, nxt)
     states, inputs = states.reshape(n + 1, p), inputs.reshape(n, q)
-    pos = position_coordinates(p, position_mask)
+    pos = position_coordinates(p)
     errors = np.linalg.norm(states[:, pos] - ref[:, pos], axis=1)
     return RolloutResult(states=states, inputs=inputs, tracking_errors=errors)
 

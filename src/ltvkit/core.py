@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 
+class SolverError(Exception):
+    """Base of the numerical failures; ``ltvkit.solvers.SolverError`` is this class."""
+
+
 def _list_array(values: list) -> Array:
     """A nested list as an array built from its flattened entries.
 
@@ -259,6 +263,8 @@ class TrajectoryDataset:
         ``inputs`` may be None when q == 0.  The horizon is inferred from
         the first trajectory.
         """
+        _integer("state dimension p", p, 1)
+        _integer("input dimension q", q, 0)
         trajs = []
         n = None
         for ell, (states, inputs) in enumerate(pairs):
@@ -288,10 +294,10 @@ class TrajectoryDataset:
     @classmethod
     def from_dict(cls, obj: dict) -> "TrajectoryDataset":
         _record("dataset record", obj, ("p", "q", "N", "trajectories"))
-        p, q, n = (_integer(key, obj[key]) for key in ("p", "q", "N"))
+        n = _integer("N", obj["N"])
         records = [_record(f"trajectory {ell}", r, ("states", "inputs"))
                    for ell, r in enumerate(_array("trajectories", obj["trajectories"]))]
-        ds = cls.build(p, q, ((r["states"], r["inputs"]) for r in records))
+        ds = cls.build(obj["p"], obj["q"], ((r["states"], r["inputs"]) for r in records))
         if ds.N != n:
             raise ValueError(f"dataset declares N={n} but trajectories carry N={ds.N}")
         return ds
@@ -401,6 +407,7 @@ class LtvModel:
     @classmethod
     def constant(cls, A, B, N: int) -> "LtvModel":
         """Repeat a single (A, B) pair over N instants."""
+        _integer("horizon N", N, 1)
         a = _frozen_array(A, "A matrices")
         b = _frozen_array(B, "B matrices")
         return cls.from_blocks(np.broadcast_to(a, (N,) + a.shape), np.broadcast_to(b, (N,) + b.shape))

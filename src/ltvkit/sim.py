@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (LtvModel, Trajectory, TrajectoryDataset, _array, _dataclass_record, _finite,
-                   _flag, _frozen_array, _integer)
+from .core import (LtvModel, SolverError, Trajectory, TrajectoryDataset, _array,
+                   _dataclass_record, _finite, _first_nonfinite, _flag, _frozen_array, _integer)
 
 Array = np.ndarray
 
@@ -199,7 +199,8 @@ def generate_dataset(model: LtvModel, L: int, excitation: Optional[ExcitationSpe
     stream seeded by (noise.seed, l); generation order therefore does not
     affect the result.  All L trajectories are then stepped together, one
     instant at a time.  Noise is added to the recorded states only, the
-    underlying simulation stays exact.
+    underlying simulation stays exact.  A simulation that overflows float64
+    raises SolverError naming the first instant whose state is not finite.
     """
     _integer("seed", seed, 0)
     _integer("L (trajectory count)", L, 1)
@@ -213,7 +214,10 @@ def generate_dataset(model: LtvModel, L: int, excitation: Optional[ExcitationSpe
         else:
             x0[ell] = rng.normal(0.0, excitation.x0_scale, size=model.p)
         inputs[:, ell] = _draw_inputs(excitation, rng, model.N, model.q)
-    states = _simulate_batch(model, x0, inputs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _simulate_batch(model, x0, inputs)
+    if not np.isfinite(states).all():
+        raise SolverError(f"the simulation overflows at instant {_first_nonfinite(states)[0]}")
     if noise is not None and noise.sigma > 0.0:
         for ell in range(L):
             noise_rng = np.random.default_rng([noise.seed, ell, 1])

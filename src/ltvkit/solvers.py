@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (LambdaSchedule, LtvModel, StackedData, _cost_and_gradient, _finite,
-                   _integer, gradient)
+from .core import (LambdaSchedule, LtvModel, SolverError, StackedData, _cost_and_gradient,
+                   _finite, _flag, _integer, gradient)
 from .diagnostics import predicted_multiply_count
 
 Array = np.ndarray
@@ -59,10 +59,6 @@ __all__ = [
 # exactly singular systems <= 6e-10; an unrescaled spread limit of
 # sqrt(1/eps) on d let some of the latter through.
 _PIVOT_FLOOR = 1e-6
-
-
-class SolverError(Exception):
-    """Base of the numerical failures: SingularBlock, SizeGuard, control.SingularInputCost."""
 
 
 class SingularBlock(SolverError):
@@ -126,6 +122,7 @@ class SolveOptions:
     def __post_init__(self):
         if self.precondition not in ("off", "on", "auto"):
             raise ValueError(f"precondition must be off/on/auto, got {self.precondition!r}")
+        _flag("accounting", self.accounting)
 
 
 @dataclass(frozen=True)
@@ -147,8 +144,8 @@ class SolveReport:
     multiply_forward: int = 0
     multiply_backward: int = 0
 
-    def to_dict(self, include_model: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "final_cost": self.final_cost,
             "gradient_norm": self.gradient_norm,
             "multiply_count": self.multiply_count,
@@ -159,9 +156,6 @@ class SolveReport:
             "preconditioned": self.preconditioned,
             "converged": self.converged,
         }
-        if include_model:
-            out["model"] = self.model.to_dict()
-        return out
 
 
 # Multiplies are counted from the problem shapes, by standard dense linear
@@ -545,21 +539,20 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
 
 
 def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
-               max_iters: int = 10**6, seed: int = 0,
-               init: Optional[LtvModel] = None) -> SolveReport:
+               max_iters: int = 10**6, seed: int = 0) -> SolveReport:
     """Stochastic block coordinate descent on the fitting objective.
 
-    Starts from i.i.d. uniform [-0.5, 0.5] blocks drawn from ``seed``
-    (or from ``init`` when given), then repeatedly sweeps the instants in
-    a fresh uniformly random order, replacing each block by its exact
-    minimizer S_ii^{-1} (Theta_i + lambda_i C(i-1) + lambda_{i+1} C(i+1))
-    with the boundary terms dropped: randomized block Gauss-Seidel on the
-    normal equations of ``build_system``.  The N inverses S_ii^{-1} are
-    formed once, in one batch checked by the closed-form route's pivot
-    test.  Before the first sweep and after each one, the squared Frobenius
-    norm of the objective's ``gradient`` is evaluated; the solve stops when
-    it drops to ``epsilon`` or after ``max_iters`` sweeps, and the report's
-    ``converged`` flag records which.
+    Starts from i.i.d. uniform [-0.5, 0.5] blocks drawn from ``seed``, then
+    repeatedly sweeps the instants in a fresh uniformly random order,
+    replacing each block by its exact minimizer S_ii^{-1} (Theta_i +
+    lambda_i C(i-1) + lambda_{i+1} C(i+1)) with the boundary terms dropped:
+    randomized block Gauss-Seidel on the normal equations of
+    ``build_system``.  The N inverses S_ii^{-1} are formed once, in one
+    batch checked by the closed-form route's pivot test.  Before the first
+    sweep and after each one, the squared Frobenius norm of the objective's
+    ``gradient`` is evaluated; the solve stops when it drops to ``epsilon``
+    or after ``max_iters`` sweeps, and the report's ``converged`` flag
+    records which.
 
     The RNG contract is: one ``default_rng(seed)`` stream, first the
     initial blocks, then one permutation per sweep, so equal seeds give
@@ -574,10 +567,6 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
     n_blocks, m, p = theta.shape
     rng = np.random.default_rng(seed)
     c = rng.uniform(-0.5, 0.5, size=(n_blocks, m, p))
-    if init is not None:
-        if (init.N, init.p, init.q) != (data.N, data.p, data.q):
-            raise ValueError("initial model does not match the data dimensions")
-        c = np.array(init.C)
 
     sinv = _invert_pivots(skk, np.arange(n_blocks))
 

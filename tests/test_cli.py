@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,21 @@ def test_generate_rejects_non_integer_counts(tmp_path, capsys):
         assert message in err
         assert out == ""
         assert not (tmp_path / "data.json").exists()
+
+
+def test_generate_that_overflows_exits_2_naming_the_instant(tmp_path, capsys):
+    """A plant whose negative damping drives the simulation out of the float
+    range exits 2 naming the first instant whose state is not finite, with
+    no numpy warning, and writes no dataset."""
+    config = write_json(tmp_path / "config.json", {"smd": {"N": 20000, "c0": -5.0}, "L": 2})
+    out_path = tmp_path / "data.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "generate", "--config", config, "--out", str(out_path))
+    assert code == 2
+    assert err == "error: the simulation overflows at instant 1474\n"
+    assert out == ""
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------- check
@@ -662,6 +678,22 @@ def test_eval_that_overflows_exits_2_naming_the_instant(tmp_path, capsys):
         assert err == f"error: {needle}\n"
         assert out == ""
         assert not csv_path.exists()
+
+
+def test_lqr_that_overflows_exits_2(tmp_path, capsys):
+    """A model whose Riccati recursion leaves the float range exits 2 saying
+    so, with no numpy warning and no blame on an input cost block."""
+    model = write_json(tmp_path / "model.json",
+                       LtvModel.constant(1e100 * np.eye(2), np.ones((2, 1)), 10).to_dict())
+    out_path = tmp_path / "gains.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "lqr", "--model", model, "--out", str(out_path))
+    assert code == 2
+    assert err == ("error: the Riccati recursion overflows float64: "
+                   "rescale the model or the weights\n")
+    assert out == ""
+    assert not out_path.exists()
 
 
 def test_lqr_rejects_non_finite_weights(plant_files, tmp_path, capsys):

@@ -28,14 +28,6 @@ def test_position_coordinates_default_split():
     assert position_coordinates(4).tolist() == [0, 1]
 
 
-def test_position_coordinates_mask_override():
-    assert position_coordinates(3, [False, True, True]).tolist() == [1, 2]
-    with pytest.raises(ValueError, match="position mask"):
-        position_coordinates(3, [False, False, False])
-    with pytest.raises(ValueError, match="position mask"):
-        position_coordinates(3, [True, False])
-
-
 def test_weights_build_diagonal_costs():
     w = LqrWeights(q_x=2.0, q_v=0.5, r=0.25)
     assert_allclose(w.state_cost(3), np.diag([2.0, 2.0, 0.5]))
@@ -315,17 +307,6 @@ def test_measurement_noise_perturbs_inputs_deterministically():
     assert not np.array_equal(noisy1.inputs, clean.inputs)
     assert np.array_equal(noisy1.inputs, noisy2.inputs)
     assert np.array_equal(silent.states, clean.states)
-
-
-def test_rollout_position_mask_changes_error_metric():
-    plant = smd_model(SmdConfig(N=10))
-    gains = lqr_synthesize(plant)
-    x0 = [0.0, 1.0]
-    default = closed_loop_rollout(plant, gains, x0=x0)
-    velocity = closed_loop_rollout(plant, gains, x0=x0,
-                                   position_mask=[False, True])
-    assert default.tracking_errors[0] == pytest.approx(0.0)
-    assert velocity.tracking_errors[0] == pytest.approx(1.0)
 
 
 def test_rollout_validation():

@@ -109,6 +109,14 @@ def test_dimensions_must_be_integers():
     states = Trajectory(states=np.zeros((3, 1)), inputs=np.zeros((2, 0)))
     with pytest.raises(ValueError, match="^state dimension p must be an integer, got True$"):
         TrajectoryDataset(p=True, q=0, N=2, trajectories=(states,))
+    # The builders once used these before any rule saw them: numpy raised
+    # TypeError, or a ValueError naming no field.
+    with pytest.raises(ValueError, match="^input dimension q must be an integer, got None$"):
+        TrajectoryDataset.build(1, None, [([], [])])
+    with pytest.raises(ValueError, match="^horizon N must be an integer, got 2.0$"):
+        LtvModel.constant(np.eye(1), np.eye(1), 2.0)
+    with pytest.raises(ValueError, match="^horizon N must be at least 1, got -1$"):
+        LtvModel.constant(np.eye(1), np.eye(1), -1)
 
 
 # Shape rules that no other test reaches, each with the message naming it.

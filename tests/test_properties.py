@@ -15,14 +15,20 @@ random drifting plants with N from 1 to 60, p from 1 to 6 and q from 0 to 3
 under random gains, with and without measurement noise and a reference,
 and are replayed through ``simulate``.  The JSON loaders
 get records whose keys are their own and whose values are mostly plausible,
-otherwise any JSON value.  Every numeric setting of the value objects and
-of ``sbcd_solve`` gets bools, numeric strings, NaN, infinities and values
-outside its range.  Hypothesis runs derandomized and without an example
-database, so every run checks the same examples.
+otherwise any JSON value.  Every numeric setting of the value objects,
+their builders, the solvers and the rollout gets bools, numeric strings,
+NaN, infinities and values outside its range, and every flag gets values
+that are not booleans; a last test fails when a setting is added that
+none of these cases, nor the table of the remaining ones, covers.
+Hypothesis runs derandomized and without an example database, so every
+run checks the same examples.
 """
 
+import dataclasses
+import inspect
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +36,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ltvkit import (ExcitationSpec, GainSchedule, LambdaSchedule, LqrWeights, LtvModel,
-                    NoiseConfig, SmdConfig, Trajectory, TrajectoryDataset, assemble_stacked,
-                    closed_loop_rollout, cosmic_solve, lqr_synthesize, oracle_solve, sbcd_solve,
-                    simulate)
+                    NoiseConfig, SmdConfig, SolveOptions, Trajectory, TrajectoryDataset,
+                    assemble_stacked, closed_loop_rollout, cosmic_solve, lqr_synthesize,
+                    oracle_solve, sbcd_solve, simulate)
 from ltvkit.cli import BenchSpec, SweepSpec
 
 from _cases import (dense_reference_solution, drifting_plant, random_dataset, relative_gap,
@@ -235,6 +241,8 @@ _BEYOND_FLOAT = st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024
 _BAD_WEIGHT = _NOT_POSITIVE | st.floats(min_value=1.35e154)
 _TRAJECTORY = Trajectory(states=np.zeros((3, 1)), inputs=np.zeros((2, 0)))
 _HAND_DATA = assemble_stacked(TrajectoryDataset.build(1, 0, [([1.0, 0.5, 0.2], None)]))
+_HAND_PLANT = LtvModel.constant([[0.5]], [[1.0]], 2)
+_HAND_GAINS = GainSchedule(K=np.zeros((2, 1, 1)))
 
 
 def _fields(build, defaults, rules, name=None):
@@ -259,6 +267,11 @@ _SHARED_RULES = [
     *_fields(TrajectoryDataset, dict(p=1, q=0, N=2, trajectories=(_TRAJECTORY,)), [
         ("p", "state dimension p", _below(1)), ("q", "input dimension q", _below(0)),
         ("N", "horizon N", _below(2))]),
+    *_fields(TrajectoryDataset.build, dict(p=1, q=0, pairs=[([1.0, 0.5, 0.2], None)]), [
+        ("p", "state dimension p", _below(1)), ("q", "input dimension q", _below(0))],
+        name="TrajectoryDataset.build"),
+    *_fields(LtvModel.constant, dict(A=[[0.5]], B=[[1.0]], N=2), [("N", "horizon N", _below(1))],
+             name="LtvModel.constant"),
     _entry("TrajectoryDataset.states",
            lambda v: TrajectoryDataset.build(1, 1, [([[0.0], [v], [1.0]], [[1.0], [0.0]])]),
            "trajectory 0: states"),
@@ -306,6 +319,13 @@ _SHARED_RULES = [
     *_fields(lambda **kwargs: sbcd_solve(_HAND_DATA, LambdaSchedule.scalar(1.0), **kwargs), {},
              [("epsilon", "epsilon", _NOT_POSITIVE), ("max_iters", "max_iters", _below(0)),
               ("seed", "seed", _below(0))], name="sbcd_solve"),
+    *_fields(lambda **kwargs: oracle_solve(_HAND_DATA, LambdaSchedule.scalar(1.0), **kwargs), {},
+             [("dense_limit", "dense_limit", _below(0))], name="oracle_solve"),
+    _entry("closed_loop_rollout.reference",
+           lambda v: closed_loop_rollout(_HAND_PLANT, _HAND_GAINS, reference=[[0.0], [v], [0.0]]),
+           "reference state"),
+    _entry("closed_loop_rollout.x0",
+           lambda v: closed_loop_rollout(_HAND_PLANT, _HAND_GAINS, x0=[v]), "initial state"),
 ]
 
 _NUMERIC_STRINGS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -324,3 +344,70 @@ def test_every_setting_refuses_what_the_shared_rules_refuse(build, needle, out_o
                   -math.inf, data.draw(out_of_range)):
         with pytest.raises(ValueError, match=f"^{re.escape(needle)}"):
             build(value)
+
+
+_FLAG_RULES = [
+    pytest.param(lambda v: SmdConfig(ltv=v), "ltv", id="SmdConfig.ltv"),
+    pytest.param(lambda v: BenchSpec(N_grid=(10,), accounting=v), "accounting",
+                 id="BenchSpec.accounting"),
+    pytest.param(lambda v: SolveOptions(accounting=v), "accounting", id="SolveOptions.accounting"),
+]
+
+
+@pytest.mark.parametrize("build, name", _FLAG_RULES)
+@pytest.mark.parametrize("value", [0, 1, "true", None, np.True_], ids=repr)
+def test_every_flag_refuses_what_is_not_a_boolean(build, name, value):
+    """A flag takes True or False alone: not a number, a string, None or a
+    numpy boolean, any of which would otherwise be read by its truth value."""
+    with pytest.raises(ValueError, match=f"^{name} must be a boolean"):
+        build(value)
+
+
+# The settings no rule case above reads: choice strings, which refuse any
+# value outside their choices, and structural fields, each with the test
+# that covers it.
+_OTHER_SETTINGS = {
+    "TrajectoryDataset.trajectories":
+        "test_core.py::test_shape_rules_raise_value_error_naming_the_rule",
+    "LambdaSchedule.kind": "test_core.py::test_schedule_json_round_trip",
+    "ExcitationSpec.x0": "test_sim.py::test_excitation_and_noise_validation",
+    "ExcitationSpec.inputs": "test_sim.py::test_excitation_and_noise_validation",
+    "BenchSpec.solvers": "test_cli.py::test_bench_spec_validation",
+    "SweepSpec.metric": "test_cli.py::test_sweep_spec_validation",
+    "SweepSpec.smd": "test_properties.py::test_loaders_return_an_instance_or_raise_value_error",
+    "SolveOptions.precondition": "test_solvers.py::test_solve_options_validation",
+    "closed_loop_rollout.noise":
+        "test_control.py::test_measurement_noise_perturbs_inputs_deterministically",
+}
+
+
+def test_every_setting_is_checked_by_a_named_test():
+    """Every field of the settings dataclasses and every keyword parameter of
+    the solvers and the rollout is a rule or flag case above, each of which
+    refuses a string, or is in ``_OTHER_SETTINGS`` with a test that exists."""
+    settings_classes = (LtvModel, TrajectoryDataset, GainSchedule, LqrWeights, LambdaSchedule,
+                        SmdConfig, NoiseConfig, ExcitationSpec, BenchSpec, SweepSpec,
+                        SolveOptions)
+    names = [f"{cls.__name__}.{f.name}" for cls in settings_classes
+             for f in dataclasses.fields(cls)]
+    names += [f"{fn.__name__}.{name}" for fn in (sbcd_solve, oracle_solve, closed_loop_rollout)
+              for name, param in inspect.signature(fn).parameters.items()
+              if param.default is not inspect.Parameter.empty]
+    cases = {case.id: case.values[:2] for case in _SHARED_RULES + _FLAG_RULES}
+    unchecked, accepting = [], []
+    for name in names:
+        covering = [case for case in cases if case == name or case.startswith(name + ".")]
+        if name in _OTHER_SETTINGS:
+            test_file, test = _OTHER_SETTINGS[name].split("::")
+            assert f"def {test}(" in (Path(__file__).parent / test_file).read_text(), name
+        elif not covering:
+            unchecked.append(name)
+        for case in covering:
+            build, needle = cases[case]
+            try:
+                build("x")
+                accepting.append(case)
+            except ValueError as exc:
+                assert str(exc).startswith(needle), (case, str(exc))
+    assert not unchecked + accepting, (f"settings without a rule case: {unchecked}; "
+                                       f"rule cases that accept a string: {accepting}")

@@ -337,6 +337,9 @@ def test_oracle_refuses_a_negative_size_limit():
 def test_solve_options_validation():
     with pytest.raises(ValueError, match="off/on/auto"):
         SolveOptions(precondition="sometimes")
+    # "no" was once taken as true, switching the report to textbook counts.
+    with pytest.raises(ValueError, match="^accounting must be a boolean, got 'no'$"):
+        SolveOptions(accounting="no")
 
 
 # ---------------------------------------------------------------- limits
@@ -550,9 +553,6 @@ def test_report_serialization():
     assert set(out) == {"final_cost", "gradient_norm", "multiply_count",
                         "multiply_forward", "multiply_backward", "elapsed",
                         "iterations", "preconditioned", "converged"}
-    with_model = report.to_dict(include_model=True)
-    again = LtvModel.from_dict(with_model["model"])
-    assert np.array_equal(again.C, report.model.C)
 
 
 # ---------------------------------------------------------------- coordinate descent
@@ -626,15 +626,6 @@ def test_sbcd_deterministic_per_seed():
     assert other.final_cost == pytest.approx(a.final_cost, rel=1e-8)
 
 
-def test_sbcd_initialized_at_solution_stops_immediately():
-    data, sched = hand_instance()
-    solution = cosmic_solve(data, sched).model
-    report = sbcd_solve(data, sched, epsilon=1e-12, init=solution)
-    assert report.converged
-    assert report.iterations == 0
-    assert np.array_equal(report.model.C, solution.C)
-
-
 def test_sbcd_budget_exhaustion_is_flagged():
     rng = np.random.default_rng(26)
     data, sched = random_instance(rng, n_hi=10)
@@ -680,6 +671,3 @@ def test_sbcd_argument_validation():
     for seed in (True, 1.5, "1"):
         with pytest.raises(ValueError, match="^seed must be an integer"):
             sbcd_solve(data, sched, seed=seed)
-    wrong = LtvModel(p=1, q=1, N=2, C=np.zeros((2, 2, 1)))
-    with pytest.raises(ValueError, match="initial model"):
-        sbcd_solve(data, sched, init=wrong)
