@@ -21,7 +21,7 @@ import numpy as np
 from .control import (GainSchedule, LqrWeights, closed_loop_rollout, lqr_synthesize,
                       tracking_stats)
 from .core import (LambdaSchedule, LtvModel, TrajectoryDataset, _array, _dataclass_record,
-                   _finite, _flag, _integer, _record, assemble_stacked)
+                   _finite, _flag, _integer, _of_type, _record, assemble_stacked)
 from .diagnostics import covariance_sufficiency, estimation_error, prediction_error
 from .sim import ExcitationSpec, NoiseConfig, SmdConfig, generate_dataset, smd_model
 from .solvers import (SingularBlock, SizeGuard, SolveOptions, SolverError, cosmic_solve,
@@ -134,6 +134,7 @@ class SweepSpec:
         object.__setattr__(self, "seeds", _array(
             "seeds", self.seeds, lambda name, v: _integer(name, v, 0)))
         _integer("L", self.L, 1)
+        _of_type("smd", self.smd, SmdConfig)
         if not self.lambda_grid:
             raise ValueError("lambda_grid must list at least one weight")
         if not self.sigma_grid:

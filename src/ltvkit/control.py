@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LtvModel, _finite, _first_nonfinite, _frozen_array, _record
-from .sim import _step
+from .core import LtvModel, _finite, _first_nonfinite, _frozen_array, _of_type, _record
+from .sim import NoiseConfig, _step
 from .solvers import SolverError, _blockwise
 
 Array = np.ndarray
@@ -265,7 +265,7 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
     # Rows of the measurement noise and reference, or None where an
     # operation would add or subtract zero and is dropped.
     noise_rows = repeat(None)
-    if noise is not None and noise.sigma > 0.0:
+    if noise is not None and _of_type("noise", noise, NoiseConfig).sigma > 0.0:
         noise_rows = np.random.default_rng(noise.seed).normal(0.0, noise.sigma, size=(n, p))
     ref_rows = repeat(None) if reference is None else ref
     # u = -(x - r) K^T = (x - r) (-K)^T exactly.  K is negated once, in its

@@ -60,7 +60,21 @@ def _list_array(values: list) -> Array:
 
 
 def _frozen_array(values, what: str = "values") -> Array:
-    """``values`` as a new read-only C-ordered float64 array; ValueError if not numeric."""
+    """``values`` as a read-only float64 array; ValueError if not numeric.
+
+    An array that is already read-only float64 all the way down to its base
+    is kept as given, views and memory layout included, so that holding it
+    costs no copy.  Any other ndarray, a read-only view of a writeable one
+    among them, is copied into a new read-only C-ordered array, so that no
+    later write by the caller reaches it.  Lists and other array-likes are
+    converted into a new array.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        base = values
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            if base.base is None:
+                return values
+            base = base.base
     try:
         arr = _list_array(values) if isinstance(values, list) else np.asarray(values)
         if arr.dtype.kind not in "iuf":
@@ -73,7 +87,7 @@ def _frozen_array(values, what: str = "values") -> Array:
 
 
 # The rules every JSON record, config and spec is read by: objects, arrays,
-# integers, finite numbers and booleans.
+# integers, finite numbers, instances of a given type and booleans.
 
 
 def _record(what: str, obj, required=(), known=None) -> dict:
@@ -142,6 +156,13 @@ def _finite(name: str, value, nonnegative: bool = False, positive: bool = False)
     return value
 
 
+def _of_type(name: str, value, cls):
+    """``value`` if it is an instance of ``cls``; anything else raises ValueError."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def _flag(name: str, value) -> bool:
     """``value`` if it is a bool; anything else, truthy or not, raises ValueError."""
     if not isinstance(value, bool):
@@ -157,8 +178,8 @@ _LAMBDA_MAX = math.sqrt(sys.float_info.max)
 
 def _first_nonfinite(values: Array):
     """Index tuple of the first non-finite entry of ``values``, or None."""
-    bad = ~np.isfinite(values)
-    return np.unravel_index(bad.argmax(), bad.shape) if bad.any() else None
+    finite = np.isfinite(values)
+    return None if finite.all() else np.unravel_index(finite.argmin(), finite.shape)
 
 
 def _check_weight(value) -> None:
@@ -228,7 +249,8 @@ class TrajectoryDataset:
     trajectories: tuple[Trajectory, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        object.__setattr__(self, "trajectories", _array(
+            "trajectories", self.trajectories, lambda name, v: _of_type(name, v, Trajectory)))
         _integer("state dimension p", self.p, 1)
         _integer("input dimension q", self.q, 0)
         _integer("horizon N", self.N, 2)
@@ -308,7 +330,10 @@ class StackedData:
     """Per-instant regressor stacks over a dataset.
 
     D[k] has one row [x_l(k)^T, u_l(k)^T] per trajectory l, and Xnext[k]
-    has the successor state x_l(k+1) in column l.
+    has the successor state x_l(k+1) in column l.  Both are held by
+    ``_frozen_array``'s rule: arrays that are read-only all the way down are
+    kept as given, so the two may be views of one buffer, as
+    ``assemble_stacked``'s are; anything else is copied.
     """
 
     D: Array      # (N, L, p+q)
@@ -401,8 +426,11 @@ class LtvModel:
         b = _frozen_array(B_seq, "B matrices")
         if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[1] != b.shape[1]:
             raise ValueError("A and B stacks must share the instant and state axes")
-        c = np.concatenate([np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)], axis=1)
-        return cls(p=a.shape[1], q=b.shape[2], N=a.shape[0], C=c)
+        n, p, q = a.shape[0], a.shape[1], b.shape[2]
+        c = np.empty((n, p + q, p))
+        c[:, :p], c[:, p:] = a.mT, b.mT
+        c.setflags(write=False)  # so that the model holds it without a copy
+        return cls(p=p, q=q, N=n, C=c)
 
     @classmethod
     def constant(cls, A, B, N: int) -> "LtvModel":
@@ -516,17 +544,25 @@ class LambdaSchedule:
 def assemble_stacked(dataset: TrajectoryDataset) -> StackedData:
     """Stack a dataset into per-instant regressor matrices.
 
+    Every sample is written once, into one read-only (N+1, L, p+q) array
+    whose row k holds [x_l(k)^T, u_l(k)^T] for each trajectory l; the last
+    row's inputs, which no instant uses, are zero.  D is a view of its first
+    N rows and Xnext the (N, p, L) view of the states in its last N rows, so
+    the stacks take L (p+q) floats per instant, not L (2p+q).
+
     Returns
     -------
     StackedData
         D[k] with rows [x_l(k)^T, u_l(k)^T] and Xnext[k] with columns
         x_l(k+1), for k = 0 .. N-1.
     """
-    states = np.stack([tr.states for tr in dataset.trajectories])  # (L, N+1, p)
-    inputs = np.stack([tr.inputs for tr in dataset.trajectories])  # (L, N, q)
-    d = np.concatenate([states[:, :-1, :], inputs], axis=2).transpose(1, 0, 2)
-    xnext = states[:, 1:, :].transpose(1, 2, 0)
-    return StackedData(D=d, Xnext=xnext)
+    p, trajectories = dataset.p, dataset.trajectories
+    samples = np.empty((dataset.N + 1, dataset.L, p + dataset.q))
+    np.stack([tr.states for tr in trajectories], axis=1, out=samples[:, :, :p])
+    np.stack([tr.inputs for tr in trajectories], axis=1, out=samples[:-1, :, p:])
+    samples[-1, :, p:] = 0.0
+    samples.setflags(write=False)
+    return StackedData(D=samples[:-1], Xnext=samples[1:, :, :p].transpose(0, 2, 1))
 
 
 def _check_consistent(model: LtvModel, data: StackedData) -> None:
@@ -540,9 +576,11 @@ def _check_consistent(model: LtvModel, data: StackedData) -> None:
 
 
 def _residual(model: LtvModel, data: StackedData, sched: LambdaSchedule):
-    """Residual blocks D(k) C(k) - Xnext(k)^T (N, L, p), weights, block differences."""
+    """Residual blocks D(k) C(k) - Xnext(k)^T (N, L, p), formed in the
+    product's own memory, weights, block differences."""
     _check_consistent(model, data)
-    res = data.D @ model.C - np.swapaxes(data.Xnext, 1, 2)
+    res = data.D @ model.C
+    np.subtract(res, data.Xnext.mT, out=res)
     return res, sched.materialize(data.N), model.C[1:] - model.C[:-1]
 
 

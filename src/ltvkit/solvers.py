@@ -485,13 +485,16 @@ def cosmic_solve(data: StackedData, sched: LambdaSchedule,
     start = time.perf_counter()
     system = build_system(data, sched)
     levels = _factorize(system)
-    c = _solve_factored(levels, system.theta)
+    theta = system.theta
+    del system  # the diagonal blocks, which only the factorization reads
+    c = _solve_factored(levels, theta)
+    c.setflags(write=False)  # so that the model holds it without a copy
     if opts.accounting:
         textbook = predicted_multiply_count(data.N, data.p, data.q)
         counts = textbook.forward, textbook.backward, 0
     else:
         counts = (*_reduction_count(levels, data.p), _stacking_count(data))
-    del levels  # so that _finish's verification can reuse the factorization's memory
+    del levels, theta  # so that _finish's verification can reuse their memory
     elapsed = time.perf_counter() - start
     model = LtvModel(p=data.p, q=data.q, N=data.N, C=c)
     return _finish(model, data, sched, counts, elapsed, 1)

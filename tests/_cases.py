@@ -1,13 +1,15 @@
 """Shared builders for randomized and hand-crafted test instances."""
 
 import math
+import tracemalloc
+from contextlib import contextmanager
 
 import mpmath
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve, expm
 
-from ltvkit import (ExcitationSpec, LambdaSchedule, LqrWeights, LtvModel, SingularInputCost,
-                    TrajectoryDataset, assemble_stacked)
+from ltvkit import (ExcitationSpec, LambdaSchedule, LqrWeights, LtvModel, NoiseConfig,
+                    SingularInputCost, TrajectoryDataset, assemble_stacked, generate_dataset)
 from ltvkit.sim import _draw_inputs
 
 
@@ -41,6 +43,32 @@ def drifting_plant(rng, p, q, n, spread=0.85):
     a = a0 + np.sin(phase)[:, None, None] * a1
     b = b0 + 0.2 * np.cos(phase)[:, None, None] * b1
     return LtvModel.from_blocks(a, b)
+
+
+def wide_dataset(n):
+    """Data of a p = 8, q = 4 drifting plant over L = 24 noisy trajectories,
+    and their bytes."""
+    plant = drifting_plant(np.random.default_rng(0), 8, 4, n)
+    dataset = generate_dataset(plant, 24, noise=NoiseConfig(sigma=0.01, seed=2), seed=1)
+    return dataset, sum(tr.states.nbytes + tr.inputs.nbytes for tr in dataset.trajectories)
+
+
+@contextmanager
+def tracing():
+    """Trace allocations inside the block; yields a function that returns the
+    peak of the bytes traced since the previous call (or the block's start),
+    counting what was allocated before it and is still alive.  numpy reports
+    every array buffer to tracemalloc, so the bytes do not depend on the
+    machine."""
+    tracemalloc.start()
+    try:
+        def peak():
+            high = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            return high
+        yield peak
+    finally:
+        tracemalloc.stop()
 
 
 def riccati_loop(model, weights=None):

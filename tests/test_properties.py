@@ -15,11 +15,12 @@ random drifting plants with N from 1 to 60, p from 1 to 6 and q from 0 to 3
 under random gains, with and without measurement noise and a reference,
 and are replayed through ``simulate``.  The JSON loaders
 get records whose keys are their own and whose values are mostly plausible,
-otherwise any JSON value.  Every numeric setting of the value objects,
-their builders, the solvers and the rollout gets bools, numeric strings,
-NaN, infinities and values outside its range, and every flag gets values
-that are not booleans; a last test fails when a setting is added that
-none of these cases, nor the table of the remaining ones, covers.
+otherwise any JSON value.  Every numeric or object-valued setting of the
+value objects, their builders, the solvers and the rollout gets bools,
+numeric strings, NaN, infinities and values outside its range or of another
+type, and every flag gets values that are not booleans; a last test fails
+when a setting is added that none of these cases, nor the table of the
+remaining ones, covers.
 Hypothesis runs derandomized and without an example database, so every
 run checks the same examples.
 """
@@ -239,6 +240,7 @@ _NOT_POSITIVE = st.floats(max_value=0.0, allow_nan=False)
 _NEGATIVE = st.floats(max_value=-5e-324, allow_nan=False)
 _BEYOND_FLOAT = st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
 _BAD_WEIGHT = _NOT_POSITIVE | st.floats(min_value=1.35e154)
+_OTHER_TYPE = st.integers() | st.floats() | st.text()  # for a field that holds an object
 _TRAJECTORY = Trajectory(states=np.zeros((3, 1)), inputs=np.zeros((2, 0)))
 _HAND_DATA = assemble_stacked(TrajectoryDataset.build(1, 0, [([1.0, 0.5, 0.2], None)]))
 _HAND_PLANT = LtvModel.constant([[0.5]], [[1.0]], 2)
@@ -272,6 +274,9 @@ _SHARED_RULES = [
         name="TrajectoryDataset.build"),
     *_fields(LtvModel.constant, dict(A=[[0.5]], B=[[1.0]], N=2), [("N", "horizon N", _below(1))],
              name="LtvModel.constant"),
+    _entry("TrajectoryDataset.trajectories",
+           lambda v: TrajectoryDataset(p=1, q=0, N=2, trajectories=(_TRAJECTORY, v)),
+           "trajectories entry", _OTHER_TYPE),
     _entry("TrajectoryDataset.states",
            lambda v: TrajectoryDataset.build(1, 1, [([[0.0], [v], [1.0]], [[1.0], [0.0]])]),
            "trajectory 0: states"),
@@ -315,7 +320,8 @@ _SHARED_RULES = [
            "sigma_grid entry", _NEGATIVE),
     _entry("SweepSpec.seeds", lambda v: SweepSpec((1.0,), (0.0,), seeds=(v,)), "seeds entry",
            _below(0)),
-    *_fields(SweepSpec, dict(lambda_grid=(1.0,), sigma_grid=(0.0,)), [("L", "L", _below(1))]),
+    *_fields(SweepSpec, dict(lambda_grid=(1.0,), sigma_grid=(0.0,)),
+             [("L", "L", _below(1)), ("smd", "smd", _OTHER_TYPE)]),
     *_fields(lambda **kwargs: sbcd_solve(_HAND_DATA, LambdaSchedule.scalar(1.0), **kwargs), {},
              [("epsilon", "epsilon", _NOT_POSITIVE), ("max_iters", "max_iters", _below(0)),
               ("seed", "seed", _below(0))], name="sbcd_solve"),
@@ -326,6 +332,8 @@ _SHARED_RULES = [
            "reference state"),
     _entry("closed_loop_rollout.x0",
            lambda v: closed_loop_rollout(_HAND_PLANT, _HAND_GAINS, x0=[v]), "initial state"),
+    _entry("closed_loop_rollout.noise",
+           lambda v: closed_loop_rollout(_HAND_PLANT, _HAND_GAINS, noise=v), "noise", _OTHER_TYPE),
 ]
 
 _NUMERIC_STRINGS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -336,10 +344,11 @@ _NUMERIC_STRINGS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
 @given(data=st.data())
 def test_every_setting_refuses_what_the_shared_rules_refuse(build, needle, out_of_range, data):
-    """Each numeric setting of the value objects and of ``sbcd_solve`` refuses
-    a bool, a numeric string, NaN, both infinities and a value outside its
-    range with a ValueError whose message starts with its name; a list or an
-    array gets the value as one of its entries."""
+    """Each numeric or object-valued setting of the value objects, the
+    solvers and the rollout refuses a bool, a numeric string, NaN, both
+    infinities and a value outside its range or of another type with a
+    ValueError whose message starts with its name; a list or an array gets
+    the value as one of its entries."""
     for value in (data.draw(st.booleans()), data.draw(_NUMERIC_STRINGS), math.nan, math.inf,
                   -math.inf, data.draw(out_of_range)):
         with pytest.raises(ValueError, match=f"^{re.escape(needle)}"):
@@ -364,20 +373,14 @@ def test_every_flag_refuses_what_is_not_a_boolean(build, name, value):
 
 
 # The settings no rule case above reads: choice strings, which refuse any
-# value outside their choices, and structural fields, each with the test
-# that covers it.
+# value outside their choices, each with the test that covers it.
 _OTHER_SETTINGS = {
-    "TrajectoryDataset.trajectories":
-        "test_core.py::test_shape_rules_raise_value_error_naming_the_rule",
     "LambdaSchedule.kind": "test_core.py::test_schedule_json_round_trip",
     "ExcitationSpec.x0": "test_sim.py::test_excitation_and_noise_validation",
     "ExcitationSpec.inputs": "test_sim.py::test_excitation_and_noise_validation",
     "BenchSpec.solvers": "test_cli.py::test_bench_spec_validation",
     "SweepSpec.metric": "test_cli.py::test_sweep_spec_validation",
-    "SweepSpec.smd": "test_properties.py::test_loaders_return_an_instance_or_raise_value_error",
     "SolveOptions.precondition": "test_solvers.py::test_solve_options_validation",
-    "closed_loop_rollout.noise":
-        "test_control.py::test_measurement_noise_perturbs_inputs_deterministically",
 }
 
 
