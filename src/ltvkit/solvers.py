@@ -162,7 +162,7 @@ class SolveReport:
 # algebra charges: Cholesky n^3/6 + n^2, LU n^3/3 + n^2, a factored solve
 # n^2 per column, an inverse as LU plus n solved columns, a matrix product
 # at full size and a scalar times a matrix one per entry.  A pivot inverse
-# is charged Cholesky plus inverse whichever route of ``_invert_pivots``
+# is charged Cholesky plus inverse whichever route of ``_spd_inverse``
 # computes it; stacking D(k)^T D(k) and D(k)^T Xnext(k)^T is charged to
 # every route.
 def _chol_count(n: int) -> int:
@@ -195,6 +195,28 @@ def _gram(a: Array) -> Array:
     return 0.5 * (g + g.mT)
 
 
+def _diagonal_blocks(data: StackedData, lam: Array) -> Array:
+    """D(k)^T D(k) plus the stencil of the coupling weights ``lam``; data
+    whose Gram blocks overflow float64 raise SolverError."""
+    shift = np.zeros(data.N)
+    shift[:-1] += lam
+    shift[1:] += lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        skk = _gram(data.D) + shift[:, None, None] * np.eye(data.width)
+    if not np.isfinite(skk).all():
+        raise SolverError("the data's products overflow float64: rescale the data")
+    return skk
+
+
+def _right_hand_sides(data: StackedData) -> Array:
+    """D(k)^T Xnext(k)^T; data whose products overflow float64 raise SolverError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = data.D.mT @ data.Xnext.mT
+    if not np.isfinite(theta).all():
+        raise SolverError("the data's products overflow float64: rescale the data")
+    return theta
+
+
 def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     """Assemble the block-tridiagonal normal equations of the objective.
 
@@ -206,15 +228,8 @@ def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     SolverError.
     """
     lam = sched.materialize(data.N)
-    shift = np.zeros(data.N)
-    shift[:-1] += lam
-    shift[1:] += lam
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = data.D.mT @ data.Xnext.mT
-        skk = _gram(data.D) + shift[:, None, None] * np.eye(data.width)
-    if not (np.isfinite(skk).all() and np.isfinite(theta).all()):
-        raise SolverError("the data's products overflow float64: rescale the data")
-    return TridiagonalSystem(skk=skk, lam=lam, theta=theta)
+    return TridiagonalSystem(skk=_diagonal_blocks(data, lam), lam=lam,
+                             theta=_right_hand_sides(data))
 
 
 def _unstable(d: Array, diag: Array) -> Array:
@@ -315,37 +330,45 @@ def _fill_lower_inverse(factor: Array, w: Array, lo: int, hi: int) -> None:
     w[:, mid:hi, lo:mid] = -(w22 @ (factor[:, mid:hi, lo:mid] @ w11))
 
 
+def _spd_inverse(s: Array) -> tuple[Array, Array]:
+    """Cholesky diagonals and inverses of a stack of small SPD blocks.
+
+    A large batch of narrow blocks is inverted by ``_narrow_inverse``.
+    Otherwise each block is factored by LAPACK, and a batch of at least
+    ``_FACTOR_INVERSE_MIN`` blocks is inverted as S^-1 = W^T W from
+    W = L^-1, the inverse of that factor, a smaller one by np.linalg.inv.
+    Inverting from the Cholesky factor is as stable as LU-based inversion
+    (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992).  A block whose factor
+    fails gets NaN diagonals (the narrow route: NaN, or 0 for a zero pivot)
+    and an inverse that is not meaningful, without a warning; the caller
+    tests the diagonals.
+    """
+    n, m = s.shape[0], s.shape[-1]
+    if m <= _NARROW_WIDTH_MAX and n >= _NARROW_INVERSE_MIN:
+        return _narrow_inverse(s)
+    factor = _blockwise(np.linalg.cholesky, s)
+    d = factor.diagonal(axis1=-2, axis2=-1)
+    if n < _FACTOR_INVERSE_MIN:
+        return d, _blockwise(np.linalg.inv, s)
+    w = np.zeros((n, m, m))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w.reshape(n, m * m)[:, :: m + 1] = 1.0 / d
+        _fill_lower_inverse(factor, w, 0, m)
+        return d, _gram(w)
+
+
 def _invert_pivots(s: Array, instants: Sequence[int]) -> Array:
-    """Inverses of a stack of SPD pivot blocks.
+    """Inverses of a stack of SPD pivot blocks, by ``_spd_inverse``.
 
     Raises SingularBlock naming the first of ``instants`` whose pivot fails
     the test of ``_unstable``; the batch is tested as a whole, and pivot by
-    pivot only when it fails.  A large batch of narrow pivots is inverted by
-    ``_narrow_inverse``.  Otherwise a batch of at least
-    ``_FACTOR_INVERSE_MIN`` pivots is inverted as S^-1 = W^T W from
-    W = L^-1, the inverse of the Cholesky factor the test computes, and a
-    smaller one by np.linalg.inv.  Inverting from the Cholesky factor is as
-    stable as LU-based inversion (Du Croz & Higham, IMA J. Numer. Anal. 12,
-    1992).
+    pivot only when it fails.
     """
-    n, m = s.shape[0], s.shape[-1]
-    narrow = m <= _NARROW_WIDTH_MAX and n >= _NARROW_INVERSE_MIN
-    if narrow:
-        d, sinv = _narrow_inverse(s)
-    else:
-        factor = _blockwise(np.linalg.cholesky, s)
-        d = factor.diagonal(axis1=-2, axis2=-1)
+    d, sinv = _spd_inverse(s)
     diag = s.diagonal(axis1=-2, axis2=-1)
     if not (d * d > _PIVOT_FLOOR * diag).all():
         raise SingularBlock(int(instants[_unstable(d, diag).argmax()]))
-    if narrow:
-        return sinv
-    if n < _FACTOR_INVERSE_MIN:
-        return np.linalg.inv(s)
-    w = np.zeros((n, m, m))
-    w.reshape(n, m * m)[:, :: m + 1] = 1.0 / d
-    _fill_lower_inverse(factor, w, 0, m)
-    return _gram(w)
+    return sinv
 
 
 # Even positions, odd positions and all but the first, on axis -3, the axis
@@ -353,8 +376,9 @@ def _invert_pivots(s: Array, instants: Sequence[int]) -> Array:
 _EVEN, _ODD, _TAIL = np.s_[..., 0::2, :, :], np.s_[..., 1::2, :, :], np.s_[..., 1:, :, :]
 
 
-def _factorize(system: TridiagonalSystem) -> list:
-    """Odd-even block cyclic reduction of the normal matrix, one entry per level.
+def _factorize(s: Array, lam: Array) -> list:
+    """Odd-even block cyclic reduction of the normal matrix with diagonal
+    blocks ``s`` and couplings -``lam``, one entry per level.
 
     A level holds a block-tridiagonal matrix, stacked on axis -3: diagonal
     blocks ``s`` and couplings ``e``, block (j, j-1) = e[j-1] and block
@@ -366,9 +390,11 @@ def _factorize(system: TridiagonalSystem) -> list:
     next level's pivots.  The first level's couplings are the scalars
     -lambda_k, shaped (N-1, 1, 1) and broadcast; later ones are dense.  For
     an SPD matrix this is Gaussian elimination in a symmetric permutation,
-    so every pivot is SPD.
+    so every pivot is SPD.  A level's diagonal blocks are dropped once its
+    Schur complement is formed, so the first level's are freed then if the
+    caller does not hold them.
     """
-    s, e = system.skk, -system.lam[..., None, None]
+    e = -lam[..., None, None]
     instants = range(s.shape[-3])
     levels = []
     mul = np.multiply
@@ -382,17 +408,19 @@ def _factorize(system: TridiagonalSystem) -> list:
         levels.append((sinv, left, right))
         hr = right.shape[-3]
         g_left = mul(left, sinv[..., :h, :, :])
-        g_right = mul(right.mT, sinv[_TAIL])
-        s_next = s[_ODD] - mul(g_left, left.mT)
-        head = s_next[..., :hr, :, :]
-        np.subtract(head, mul(g_right, right), out=head)
+        s = s[_ODD] - mul(g_left, left.mT)
         e = -mul(g_left[_TAIL], right[..., : h - 1, :, :])
-        s, instants, mul = s_next, instants[1::2], np.matmul
+        del g_left
+        head = s[..., :hr, :, :]
+        np.subtract(head, mul(mul(right.mT, sinv[_TAIL]), right), out=head)
+        instants, mul = instants[1::2], np.matmul
 
 
 def _solve_factored(levels: list, r: Array) -> Array:
     """Solve the factorized normal equations for the right-hand sides ``r``,
-    one (p+q, k) block per instant on axis -3, for any k.
+    one (p+q, k) block per instant on axis -3, for any k.  ``r`` is dropped
+    after the first level, so it is freed then if the caller does not hold
+    it.
 
     Down the levels y = sinv r on the even positions and r_next = r_odd - e y;
     back-substitution then recovers the even positions, deepest level first.
@@ -483,18 +511,18 @@ def cosmic_solve(data: StackedData, sched: LambdaSchedule,
     """
     opts = opts or SolveOptions()
     start = time.perf_counter()
-    system = build_system(data, sched)
-    levels = _factorize(system)
-    theta = system.theta
-    del system  # the diagonal blocks, which only the factorization reads
-    c = _solve_factored(levels, theta)
+    lam = sched.materialize(data.N)
+    # The diagonal blocks and Theta are passed unnamed, so that each is
+    # freed once the first level has read it.
+    levels = _factorize(_diagonal_blocks(data, lam), lam)
+    c = _solve_factored(levels, _right_hand_sides(data))
     c.setflags(write=False)  # so that the model holds it without a copy
     if opts.accounting:
         textbook = predicted_multiply_count(data.N, data.p, data.q)
         counts = textbook.forward, textbook.backward, 0
     else:
         counts = (*_reduction_count(levels, data.p), _stacking_count(data))
-    del levels, theta  # so that _finish's verification can reuse their memory
+    del levels  # so that _finish's verification can reuse their memory
     elapsed = time.perf_counter() - start
     model = LtvModel(p=data.p, q=data.q, N=data.N, C=c)
     return _finish(model, data, sched, counts, elapsed, 1)

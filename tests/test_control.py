@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ltvkit import control
 from ltvkit import (GainSchedule, LqrWeights, LtvModel, NoiseConfig,
                     SingularInputCost, SmdConfig, SolverError, closed_loop_rollout,
                     lqr_synthesize, position_coordinates, simulate, smd_model,
@@ -128,11 +129,14 @@ def test_riccati_scan_matches_loop_on_wide_drifting_plant():
 
 
 def test_riccati_scan_matches_loop_at_every_level_shape():
-    # The scan pairs and carries elements differently at every horizon.
+    # The first chunk is padded differently at every horizon, and the scan
+    # across the chunks pairs and carries their composites differently.
     rng = np.random.default_rng(9)
+    chunk = control._CHUNK
     edges = {n for k in range(2, 9) for n in (2**k - 1, 2**k, 2**k + 1)}
-    for n in sorted(set(range(1, 10)) | edges):
-        assert_matches_loop(drifting_plant(rng, 3, 2, n), LqrWeights(q_x=2.0, q_v=0.5, r=0.1))
+    for n in sorted(set(range(1, 2 * chunk + 2)) | edges | {64 * chunk - 1, 64 * chunk + 1}):
+        for q in (0, 2):
+            assert_matches_loop(drifting_plant(rng, 3, q, n), LqrWeights(q_x=2.0, q_v=0.5, r=0.1))
 
 
 def test_riccati_scan_without_inputs():
@@ -154,6 +158,42 @@ def test_singular_input_cost_names_the_instant_where_the_recursion_stops():
             with pytest.raises(SingularInputCost) as info:
                 synthesize(model, weights)
             assert info.value.instant == instant, f"A={a}, {synthesize.__name__}"
+
+
+def test_singular_input_cost_is_named_in_every_chunk():
+    # P(N) = -1e3 and B(k) = 0 above the instant k, so S(k) = r + P(k+1) is
+    # the first input cost below zero: in the padded first chunk, at both
+    # sides of a chunk boundary and in the last chunk.
+    chunk = control._CHUNK
+    n = 2 * chunk + 3
+    weights = LqrWeights(q_x=1.0, q_v=1.0, r=1e-3, terminal=np.array([[-1e3]]))
+    cases = [(n, k) for k in (0, n - 2 * chunk - 1, n - 2 * chunk, n - chunk - 1, n - chunk,
+                              n - 3, n - 1)]
+    for n_k, k in cases + [(64 * chunk - 1, 300)]:
+        b = np.where(np.arange(n_k) <= k, 1.0, 0.0)[:, None, None]
+        model = LtvModel.from_blocks(np.ones((n_k, 1, 1)), b)
+        for synthesize in (lqr_synthesize, riccati_loop):
+            with pytest.raises(SingularInputCost) as info:
+                synthesize(model, weights)
+            assert info.value.instant == k, f"N={n_k}, {synthesize.__name__}"
+
+
+def test_riccati_overflow_raises_solver_error():
+    """Up: with r = 1e-300, B R^-1 B^T overflows although the recursion
+    stays finite; a single chunk has no up phase and matches the recursion,
+    while on longer horizons the chunks' composites overflow.  Down: with
+    A = 1e100 I, P overflows within a single chunk."""
+    chunk = control._CHUNK
+    weights = LqrWeights(r=1e-300)
+    cheap = LtvModel.constant(0.9 * np.eye(2), 1e5 * np.ones((2, 1)), chunk)
+    assert_matches_loop(cheap, weights)
+    cases = [(LtvModel.constant(0.9 * np.eye(2), 1e5 * np.ones((2, 1)), n), weights)
+             for n in (2 * chunk + 1, 64 * chunk + 1)]
+    cases += [(LtvModel.constant(1e100 * np.eye(2), np.ones((2, 1)), n), None)
+              for n in (5, chunk, 2 * chunk + 1)]
+    for model, w in cases:
+        with pytest.raises(SolverError, match="^the Riccati recursion overflows float64"):
+            lqr_synthesize(model, w)
 
 
 def test_non_finite_model_or_terminal_cost_is_rejected():
@@ -210,6 +250,22 @@ def test_gain_schedule_arrays_are_numeric_and_read_only():
     assert weights.terminal[0, 0] == 1.0
     with pytest.raises(ValueError, match="^terminal cost entries are not a numeric array$"):
         LqrWeights(terminal=[["1", 0.0], [0.0, 1.0]])
+
+
+def test_gain_schedule_holds_the_synthesized_arrays(monkeypatch):
+    handed = {}
+
+    def spy(K, P):
+        handed.update(K=K, P=P)
+        return GainSchedule(K=K, P=P)
+
+    monkeypatch.setattr(control, "GainSchedule", spy)
+    for n in (5, 64):
+        gains = lqr_synthesize(smd_model(SmdConfig(N=n)))
+        assert gains.K is handed["K"] and gains.P is handed["P"]
+        for array in (gains.K, gains.P):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1.0
 
 
 def test_gain_schedule_serialization():

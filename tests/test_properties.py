@@ -102,12 +102,17 @@ def plants(draw):
 @_SETTINGS
 @given(plants())
 def test_riccati_scan_matches_step_by_step_recursion(instance):
-    """The scan's combine solves with I + C(k) P(k+1), C(k) = B(k) R^{-1} B(k)^T,
-    where the recursion factors R + B(k)^T P(k+1) B(k), so it can lose
-    about log10(1 + gamma) more digits, gamma = max_k |C(k)| |P(k+1)|; K
-    inherits a further factor of cond(R + B^T P B) from both.  Over 9 000
-    draws of this family the gaps stayed below 19 eps (1 + gamma) for P and
-    20 eps (1 + gamma) cond for K."""
+    """Inside each chunk of instants ``lqr_synthesize`` takes the recursion's
+    own steps; the P entering a chunk comes from the scan, whose combine
+    solves with I + C(k) P(k+1), C(k) = B(k) R^{-1} B(k)^T, where the
+    recursion factors R + B(k)^T P(k+1) B(k), so it can lose about
+    log10(1 + gamma) more digits, gamma = max_k |C(k)| |P(k+1)|; K inherits
+    a further factor of cond(R + B^T P B) from both.  Over 9 000 draws of
+    this family (three hypothesis seeds of 3 000) the gaps stayed below
+    12 eps (1 + gamma) for P and 9 eps (1 + gamma) cond for K, and the
+    largest gap in P was 6.3e-12; a scan over the whole horizon reached
+    11 eps (1 + gamma), 22 eps (1 + gamma) cond and 7.5e-11 on the same
+    draws."""
     model, weights = instance
     gains = lqr_synthesize(model, weights)
     k_ref, p_ref = riccati_loop(model, weights)
