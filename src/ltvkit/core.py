@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -221,9 +221,20 @@ def _coerce_rows(values, width: int, name: str, traj: int) -> Array:
     return arr
 
 
+def _refuse_nonfinite(trajectories) -> None:
+    """ValueError naming the first trajectory, states before inputs, and the
+    first instant within that array, that holds a non-finite value."""
+    for ell, tr in enumerate(trajectories):
+        for name, values in (("states", tr.states), ("inputs", tr.inputs)):
+            bad = _first_nonfinite(values)
+            if bad is not None:
+                raise ValueError(f"trajectory {ell}: {name} at instant {bad[0]} are not finite")
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """One recorded run: states x(0..N) and inputs u(0..N-1), rows per instant."""
+    """One recorded run: states x(0..N) and inputs u(0..N-1), rows per instant
+    (in a dataset, read-only views into its ``samples``)."""
 
     states: Array
     inputs: Array
@@ -241,38 +252,45 @@ class TrajectoryDataset:
 
     Every trajectory carries N+1 states and N inputs; N is the number of
     transitions.  Instances are immutable after construction.
+
+    The constructor writes every sample once, into the read-only
+    (N+1, L, p+q) array ``samples``: row k holds [x_l(k)^T, u_l(k)^T] for
+    each trajectory l, and the last row's inputs, which no instant uses, are
+    zero.  ``trajectories`` become views into it, and so do the fit's
+    stacks and the sufficiency check's samples, so no sample is held twice.
     """
 
     p: int
     q: int
     N: int
     trajectories: tuple[Trajectory, ...]
+    samples: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "trajectories", _array(
-            "trajectories", self.trajectories, lambda name, v: _of_type(name, v, Trajectory)))
+        trajs = _array("trajectories", self.trajectories,
+                       lambda name, v: _of_type(name, v, Trajectory))
         _integer("state dimension p", self.p, 1)
         _integer("input dimension q", self.q, 0)
         _integer("horizon N", self.N, 2)
-        if not self.trajectories:
+        if not trajs:
             raise ValueError("dataset needs at least one trajectory")
-        for ell, tr in enumerate(self.trajectories):
-            if tr.states.shape != (self.N + 1, self.p):
-                raise ValueError(
-                    f"trajectory {ell}: states have shape {tr.states.shape}, "
-                    f"expected ({self.N + 1}, {self.p})"
-                )
-            if tr.inputs.shape != (self.N, self.q):
-                raise ValueError(
-                    f"trajectory {ell}: inputs have shape {tr.inputs.shape}, "
-                    f"expected ({self.N}, {self.q})"
-                )
-            for name, values in (("states", tr.states), ("inputs", tr.inputs)):
-                bad = _first_nonfinite(values)
-                if bad is not None:
-                    raise ValueError(
-                        f"trajectory {ell}: {name} at instant {bad[0]} are not finite"
-                    )
+        p = self.p
+        samples = np.empty((self.N + 1, len(trajs), p + self.q))
+        for ell, tr in enumerate(trajs):
+            for name, values, rows in (("states", tr.states, samples[:, ell, :p]),
+                                       ("inputs", tr.inputs, samples[:-1, ell, p:])):
+                if values.shape != rows.shape:
+                    _refuse_nonfinite(trajs[:ell])  # earlier trajectories are named first
+                    raise ValueError(f"trajectory {ell}: {name} have shape {values.shape}, "
+                                     f"expected {rows.shape}")
+                rows[...] = values
+        samples[-1, :, p:] = 0.0
+        if not np.isfinite(samples).all():
+            _refuse_nonfinite(trajs)
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "trajectories", tuple(
+            Trajectory(states=s[:, :p], inputs=s[:-1, p:]) for s in samples.swapaxes(0, 1)))
 
     @property
     def L(self) -> int:
@@ -327,13 +345,13 @@ class TrajectoryDataset:
 
 @dataclass(frozen=True)
 class StackedData:
-    """Per-instant regressor stacks over a dataset.
+    """Per-instant regressor stacks over a dataset: the solvers' input.
 
     D[k] has one row [x_l(k)^T, u_l(k)^T] per trajectory l, and Xnext[k]
     has the successor state x_l(k+1) in column l.  Both are held by
     ``_frozen_array``'s rule: arrays that are read-only all the way down are
     kept as given, so the two may be views of one buffer, as
-    ``assemble_stacked``'s are; anything else is copied.
+    ``assemble_stacked``'s views of a dataset's samples are; others are copied.
     """
 
     D: Array      # (N, L, p+q)
@@ -542,27 +560,11 @@ class LambdaSchedule:
 
 
 def assemble_stacked(dataset: TrajectoryDataset) -> StackedData:
-    """Stack a dataset into per-instant regressor matrices.
-
-    Every sample is written once, into one read-only (N+1, L, p+q) array
-    whose row k holds [x_l(k)^T, u_l(k)^T] for each trajectory l; the last
-    row's inputs, which no instant uses, are zero.  D is a view of its first
-    N rows and Xnext the (N, p, L) view of the states in its last N rows, so
-    the stacks take L (p+q) floats per instant, not L (2p+q).
-
-    Returns
-    -------
-    StackedData
-        D[k] with rows [x_l(k)^T, u_l(k)^T] and Xnext[k] with columns
-        x_l(k+1), for k = 0 .. N-1.
-    """
-    p, trajectories = dataset.p, dataset.trajectories
-    samples = np.empty((dataset.N + 1, dataset.L, p + dataset.q))
-    np.stack([tr.states for tr in trajectories], axis=1, out=samples[:, :, :p])
-    np.stack([tr.inputs for tr in trajectories], axis=1, out=samples[:-1, :, p:])
-    samples[-1, :, p:] = 0.0
-    samples.setflags(write=False)
-    return StackedData(D=samples[:-1], Xnext=samples[1:, :, :p].transpose(0, 2, 1))
+    """A dataset's per-instant regressor stacks, as views of its samples: D is
+    the first N rows of ``dataset.samples`` and Xnext the (N, p, L) view of
+    the states in its last N rows, so stacking copies no sample."""
+    samples = dataset.samples
+    return StackedData(D=samples[:-1], Xnext=samples[1:, :, :dataset.p].transpose(0, 2, 1))
 
 
 def _check_consistent(model: LtvModel, data: StackedData) -> None:

@@ -70,27 +70,24 @@ def covariance_sufficiency(dataset: TrajectoryDataset,
     """Check whether the summed empirical covariance is positive definite.
 
     Each trajectory contributes Sigma_l = (1/N) sum_k z(k) z(k)^T over its
-    samples z(k) = [x(k); u(k)], k = 0 .. N-1.  The verdict is taken on the
-    sum Sigma rescaled to unit diagonal, D^(-1/2) Sigma D^(-1/2) with
-    D = diag(Sigma), over the coordinates that vary: ``rank`` counts its
-    eigenvalues above ``tol`` (default 1e-10; a finite ``tol`` below the
-    smallest normal float is raised to it, a non-finite one raises
-    ValueError), a coordinate that never varies adds nothing, and the data
-    are sufficient when the rank is p+q.  The rescaling is the one the
-    solver's pivot test is invariant under (van der Sluis, Numer. Math. 14,
-    1969), so a change of units does not move the verdict.  A sufficient
-    dataset guarantees the fitting problem has a unique solution for any
-    positive smoothness schedule.  Data whose covariance overflows float64
-    raise ValueError.
+    samples z(k) = [x(k); u(k)], k = 0 .. N-1; the sum is one product over
+    the first N rows of ``dataset.samples``, the fit's regressors, without a
+    copy.  The verdict is taken on the sum Sigma rescaled to unit diagonal,
+    D^(-1/2) Sigma D^(-1/2) with D = diag(Sigma), over the coordinates that
+    vary: ``rank`` counts its eigenvalues above ``tol`` (default 1e-10; a
+    finite ``tol`` below the smallest normal float is raised to it, a
+    non-finite one raises ValueError), a coordinate that never varies adds
+    nothing, and the data are sufficient when the rank is p+q.  The
+    rescaling is the one the solver's pivot test is invariant under (van der
+    Sluis, Numer. Math. 14, 1969), so a change of units does not move the
+    verdict.  A sufficient dataset guarantees the fitting problem has a
+    unique solution for any positive smoothness schedule.  Data whose
+    covariance overflows float64 raise ValueError.
     """
     if tol is not None:
         _finite("tol", tol)
-    p, m = dataset.p, dataset.p + dataset.q
-    z = np.empty((len(dataset.trajectories), dataset.N, m))
-    for zl, tr in zip(z, dataset.trajectories):
-        zl[:, :p] = tr.states[:-1]
-        zl[:, p:] = tr.inputs
-    z = z.reshape(-1, m)
+    m = dataset.p + dataset.q
+    z = dataset.samples[:-1].reshape(-1, m)  # a view, one row per sample
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = (z.T @ z) / dataset.N
     if not np.isfinite(sigma).all():

@@ -222,5 +222,7 @@ def generate_dataset(model: LtvModel, L: int, excitation: Optional[ExcitationSpe
         for ell in range(L):
             noise_rng = np.random.default_rng([noise.seed, ell, 1])
             states[:, ell] += noise_rng.normal(0.0, noise.sigma, size=(model.N + 1, model.p))
+    states.setflags(write=False)  # so that build keeps its views and the dataset
+    inputs.setflags(write=False)  # copies each sample once, into its samples
     return TrajectoryDataset.build(model.p, model.q,
                                    [(states[:, ell], inputs[:, ell]) for ell in range(L)])

@@ -223,9 +223,9 @@ def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     Diagonal blocks are D(k)^T D(k) plus lambda_1 I at k = 0,
     (lambda_k + lambda_{k+1}) I in the interior, and lambda_{N-1} I at
     k = N-1; couplings are -lambda_k I; right-hand sides are D(k)^T Xnext(k)^T.
-    Both are batched matmuls; the Gram blocks are ``_gram``'s plain GEMM,
-    made exactly symmetric.  Data whose products overflow float64 raise
-    SolverError.
+    Both are batched matmuls; ``_gram`` forms the Gram blocks, by a GEMM made
+    exactly symmetric up to 4 columns and a symmetric rank-k update above.
+    Data whose products overflow float64 raise SolverError.
     """
     lam = sched.materialize(data.N)
     return TridiagonalSystem(skk=_diagonal_blocks(data, lam), lam=lam,

@@ -45,12 +45,20 @@ def drifting_plant(rng, p, q, n, spread=0.85):
     return LtvModel.from_blocks(a, b)
 
 
-def wide_dataset(n):
-    """Data of a p = 8, q = 4 drifting plant over L = 24 noisy trajectories,
-    and their bytes."""
-    plant = drifting_plant(np.random.default_rng(0), 8, 4, n)
+def wide_plant(n):
+    """The bench's wide-block plant: p = 8, q = 4, drifting over n instants."""
+    return drifting_plant(np.random.default_rng(0), 8, 4, n)
+
+
+def simulate_wide(plant):
+    """Data of ``plant`` over L = 24 noisy trajectories, and their bytes."""
     dataset = generate_dataset(plant, 24, noise=NoiseConfig(sigma=0.01, seed=2), seed=1)
     return dataset, sum(tr.states.nbytes + tr.inputs.nbytes for tr in dataset.trajectories)
+
+
+def wide_dataset(n):
+    """Data of ``wide_plant(n)`` over L = 24 noisy trajectories, and their bytes."""
+    return simulate_wide(wide_plant(n))
 
 
 @contextmanager

@@ -77,16 +77,21 @@ def test_stacked_arrays_read_only():
 
 def test_stacking_holds_each_sample_once():
     """On the bench's wide-block shape (p = 8, q = 4, L = 24, N = 2 000),
-    stacking peaks within 1.2 times the dataset's bytes (1.13 measured; 3.79
-    when the states were held twice and each stack copied once more), and
-    D and Xnext are views of one read-only buffer."""
+    stacking allocates at most 0.2 times the dataset's bytes (0.13 measured,
+    ``StackedData``'s finiteness temporaries; 1.13 when stacking wrote its
+    own copy of the samples, 3.79 when the states were held twice), and D,
+    Xnext and every trajectory are views of the dataset's one read-only
+    sample array."""
     dataset, size = wide_dataset(2000)
     with tracing() as peak:
         data = assemble_stacked(dataset)
-        assert peak() <= 1.2 * size
-    assert np.shares_memory(data.D, data.Xnext)
-    assert data.D.base is data.Xnext.base
-    assert not (data.D.flags.writeable or data.Xnext.flags.writeable or data.D.base.flags.writeable)
+        assert peak() <= 0.2 * size
+    samples = dataset.samples
+    assert data.D.base is data.Xnext.base is samples
+    assert samples.shape == (2001, 24, 12) and not samples.flags.writeable
+    views = [data.D, data.Xnext]
+    views += [a for tr in dataset.trajectories for a in (tr.states, tr.inputs)]
+    assert all(np.shares_memory(v, samples) and not v.flags.writeable for v in views)
 
 
 def test_read_only_arrays_are_held_as_given_and_others_copied():
@@ -204,6 +209,39 @@ def test_dataset_rejects_non_finite_values():
     inputs[4, 0] = np.inf
     with pytest.raises(ValueError, match="trajectory 0: inputs at instant 4 are not finite"):
         TrajectoryDataset.build(2, 1, [(np.ones((6, 2)), inputs)])
+    # A non-finite value is named before a later trajectory's shape error.
+    with pytest.raises(ValueError, match="trajectory 0: inputs at instant 4 are not finite"):
+        TrajectoryDataset.build(2, 1, [(np.ones((6, 2)), inputs),
+                                       (np.ones((6, 2)), np.ones((4, 1)))])
+
+
+# Non-finite entries as (trajectory, array, instant), and the one named: the
+# first trajectory, its states before its inputs, the first instant in them.
+_NON_FINITE = [
+    ([(2, "states", 1), (0, "inputs", 3)], "trajectory 0: inputs at instant 3"),
+    ([(2, "inputs", 0), (0, "states", 4)], "trajectory 0: states at instant 4"),
+    ([(0, "states", 1), (2, "inputs", 3)], "trajectory 0: states at instant 1"),
+    ([(1, "inputs", 0), (1, "states", 5), (1, "states", 2)], "trajectory 1: states at instant 2"),
+    ([(2, "states", 5), (1, "inputs", 4), (1, "inputs", 1)], "trajectory 1: inputs at instant 1"),
+    ([(2, "inputs", 0), (1, "states", 5)], "trajectory 1: states at instant 5"),
+]
+
+
+@pytest.mark.parametrize("via", ["constructor", "build"])
+@pytest.mark.parametrize("entries, named", _NON_FINITE)
+def test_non_finite_samples_are_named_in_trajectory_order(via, entries, named):
+    """With non-finite entries in two trajectories, or twice in one, the
+    message names the same entry whichever way the dataset is made."""
+    arrays = [{"states": np.ones((6, 2)), "inputs": np.ones((5, 1))} for _ in range(3)]
+    for i, (ell, name, k) in enumerate(entries):
+        arrays[ell][name][k, -1] = (np.nan, np.inf, -np.inf)[i]
+    pairs = [(a["states"], a["inputs"]) for a in arrays]
+    with pytest.raises(ValueError, match=f"^{named} are not finite$"):
+        if via == "build":
+            TrajectoryDataset.build(2, 1, pairs)
+        else:
+            TrajectoryDataset(p=2, q=1, N=5, trajectories=tuple(
+                Trajectory(states=s, inputs=u) for s, u in pairs))
 
 
 def test_stacked_data_rejects_non_finite_values():

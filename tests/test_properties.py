@@ -6,14 +6,16 @@ fitting instances cover N from 2 to 70, with extra weight on powers of two
 and their neighbours, p from 1 to 4, q from 0 to 3, trajectory counts below
 p+q as long as the pooled data still determine the fit (N * L >= p+q for
 generic Gaussian samples), and scalar, zoned and per-instant schedules with
-weights from 1e-3 to 1e3.  The control instances are random drifting plants
-with N from 1 to 70 on the same weighting, p from 1 to 4, q from 0 to 3,
-A0's spectral norm from 0.1 to 1.5 and LQR weights from 1e-3 to 1e3,
-checked against the step-by-step Riccati recursion to a tolerance scaled
-by the conditioning of the two routes (see the test).  The rollouts run
-random drifting plants with N from 1 to 60, p from 1 to 6 and q from 0 to 3
-under random gains, with and without measurement noise and a reference,
-and are replayed through ``simulate``.  The JSON loaders
+weights from 1e-3 to 1e3.  Datasets built from p from 1 to 4, q from 0
+to 3, 1 to 5 trajectories and N from 2 to 40 are checked against the
+arrays handed over, writeable or read-only.  The control instances are
+random drifting plants with N from 1 to 70 on the same weighting, p from
+1 to 4, q from 0 to 3, A0's spectral norm from 0.1 to 1.5 and LQR weights
+from 1e-3 to 1e3, checked against the step-by-step Riccati recursion to a
+tolerance scaled by the conditioning of the two routes (see the test).
+The rollouts run random drifting plants with N from 1 to 60, p from 1 to
+6 and q from 0 to 3 under random gains, with and without measurement
+noise and a reference, and are replayed through ``simulate``.  The JSON loaders
 get records whose keys are their own and whose values are mostly plausible,
 otherwise any JSON value.  Every numeric or object-valued setting of the
 value objects, their builders, the solvers and the rollout gets bools,
@@ -38,8 +40,8 @@ from hypothesis import strategies as st
 
 from ltvkit import (ExcitationSpec, GainSchedule, LambdaSchedule, LqrWeights, LtvModel,
                     NoiseConfig, SmdConfig, SolveOptions, Trajectory, TrajectoryDataset,
-                    assemble_stacked, closed_loop_rollout, cosmic_solve, lqr_synthesize,
-                    oracle_solve, sbcd_solve, simulate)
+                    assemble_stacked, closed_loop_rollout, cosmic_solve, covariance_sufficiency,
+                    lqr_synthesize, oracle_solve, sbcd_solve, simulate)
 from ltvkit.cli import BenchSpec, SweepSpec
 
 from _cases import (dense_reference_solution, drifting_plant, random_dataset, relative_gap,
@@ -87,6 +89,39 @@ def test_closed_form_matches_dense_references(instance):
     assert c.shape == (data.N, data.width, data.p)
     assert scaled_gap(c, dense_reference_solution(data, sched)) <= 1e-8
     assert scaled_gap(c, oracle_solve(data, sched).model.C) <= 1e-8
+
+
+@st.composite
+def trajectory_sets(draw):
+    p, q = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    n, ell = draw(st.integers(2, 40)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(rng.normal(size=(n + 1, p)), rng.normal(size=(n, q))) for _ in range(ell)]
+    if draw(st.booleans()):  # arrays that build keeps as given until the dataset copies them
+        for a in (a for pair in pairs for a in pair):
+            a.setflags(write=False)
+    return p, q, pairs
+
+
+@_SETTINGS
+@given(trajectory_sets())
+def test_dataset_samples_are_the_trajectories_handed_over(case):
+    """Each trajectory of a built dataset is bitwise the arrays handed to
+    ``build``; D[k, l] is bitwise [x_l(k), u_l(k)] and Xnext[k][:, l] is
+    x_l(k+1); and Sigma matches the sum of the per-trajectory covariances
+    to within 64 eps."""
+    p, q, pairs = case
+    dataset = TrajectoryDataset.build(p, q, pairs)
+    data = assemble_stacked(dataset)
+    ref = np.zeros((p + q, p + q))
+    for ell, (tr, (states, inputs)) in enumerate(zip(dataset.trajectories, pairs, strict=True)):
+        assert np.array_equal(tr.states, states) and np.array_equal(tr.inputs, inputs)
+        z = np.concatenate([states[:-1], inputs], axis=1)
+        assert np.array_equal(data.D[:, ell], z)
+        assert np.array_equal(data.Xnext[:, :, ell], states[1:])
+        ref += (z.T @ z) / dataset.N
+    sigma = covariance_sufficiency(dataset).sigma
+    assert np.abs(sigma - ref).max() <= 64 * np.finfo(np.float64).eps * np.abs(ref).max()
 
 
 @st.composite
@@ -390,14 +425,16 @@ _OTHER_SETTINGS = {
 
 
 def test_every_setting_is_checked_by_a_named_test():
-    """Every field of the settings dataclasses and every keyword parameter of
-    the solvers and the rollout is a rule or flag case above, each of which
-    refuses a string, or is in ``_OTHER_SETTINGS`` with a test that exists."""
+    """Every field of the settings dataclasses that a caller can pass (a
+    non-init field, such as a dataset's ``samples``, is derived) and every
+    keyword parameter of the solvers and the rollout is a rule or flag case
+    above, each of which refuses a string, or is in ``_OTHER_SETTINGS`` with
+    a test that exists."""
     settings_classes = (LtvModel, TrajectoryDataset, GainSchedule, LqrWeights, LambdaSchedule,
                         SmdConfig, NoiseConfig, ExcitationSpec, BenchSpec, SweepSpec,
                         SolveOptions)
     names = [f"{cls.__name__}.{f.name}" for cls in settings_classes
-             for f in dataclasses.fields(cls)]
+             for f in dataclasses.fields(cls) if f.init]
     names += [f"{fn.__name__}.{name}" for fn in (sbcd_solve, oracle_solve, closed_loop_rollout)
               for name, param in inspect.signature(fn).parameters.items()
               if param.default is not inspect.Parameter.empty]
