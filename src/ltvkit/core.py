@@ -349,9 +349,9 @@ class StackedData:
 
     D[k] has one row [x_l(k)^T, u_l(k)^T] per trajectory l, and Xnext[k]
     has the successor state x_l(k+1) in column l.  Both are held by
-    ``_frozen_array``'s rule: arrays that are read-only all the way down are
-    kept as given, so the two may be views of one buffer, as
-    ``assemble_stacked``'s views of a dataset's samples are; others are copied.
+    ``_frozen_array``'s rule (read-only arrays are kept as given, others
+    copied) and checked for shape and finiteness, except in a stack from
+    ``assemble_stacked``, whose dataset has checked every sample.
     """
 
     D: Array      # (N, L, p+q)
@@ -562,9 +562,14 @@ class LambdaSchedule:
 def assemble_stacked(dataset: TrajectoryDataset) -> StackedData:
     """A dataset's per-instant regressor stacks, as views of its samples: D is
     the first N rows of ``dataset.samples`` and Xnext the (N, p, L) view of
-    the states in its last N rows, so stacking copies no sample."""
+    the states in its last N rows, so stacking allocates nothing."""
     samples = dataset.samples
-    return StackedData(D=samples[:-1], Xnext=samples[1:, :, :dataset.p].transpose(0, 2, 1))
+    # Unchecked: the dataset's constructor tested and froze every sample,
+    # and the two views agree in shape by construction.
+    data = object.__new__(StackedData)
+    object.__setattr__(data, "D", samples[:-1])
+    object.__setattr__(data, "Xnext", samples[1:, :, :dataset.p].transpose(0, 2, 1))
+    return data
 
 
 def _check_consistent(model: LtvModel, data: StackedData) -> None:
@@ -587,7 +592,9 @@ def _residual(model: LtvModel, data: StackedData, sched: LambdaSchedule):
 
 
 def _terms(res: Array, lam: Array, dc: Array) -> tuple[float, float]:
-    return 0.5 * float(np.sum(res * res)), 0.5 * float(lam @ np.sum(dc * dc, axis=(1, 2)))
+    res *= res  # squared in place: callers are done with both arrays
+    dc *= dc
+    return 0.5 * float(np.sum(res)), 0.5 * float(lam @ np.sum(dc, axis=(1, 2)))
 
 
 def _gradient(data: StackedData, res: Array, lam: Array, dc: Array) -> Array:
@@ -625,7 +632,8 @@ def gradient(model: LtvModel, data: StackedData, sched: LambdaSchedule) -> Array
 
 
 def _cost_and_gradient(model: LtvModel, data: StackedData, sched: LambdaSchedule):
-    """``cost`` and ``gradient`` from one residual; bitwise equal to both."""
+    """``cost`` and ``gradient`` from one residual, the gradient first; bitwise equal to both."""
     parts = _residual(model, data, sched)
+    grad = _gradient(data, *parts)
     fit, smooth = _terms(*parts)
-    return fit + smooth, _gradient(data, *parts)
+    return fit + smooth, grad

@@ -196,13 +196,14 @@ def _gram(a: Array) -> Array:
 
 
 def _diagonal_blocks(data: StackedData, lam: Array) -> Array:
-    """D(k)^T D(k) plus the stencil of the coupling weights ``lam``; data
-    whose Gram blocks overflow float64 raise SolverError."""
+    """D(k)^T D(k) plus the coupling weights' stencil, added on the diagonal
+    in place; data whose Gram blocks overflow float64 raise SolverError."""
     shift = np.zeros(data.N)
     shift[:-1] += lam
     shift[1:] += lam
     with np.errstate(over="ignore", invalid="ignore"):
-        skk = _gram(data.D) + shift[:, None, None] * np.eye(data.width)
+        skk = _gram(data.D)
+        skk.reshape(data.N, -1)[:, :: data.width + 1] += shift[:, None]
     if not np.isfinite(skk).all():
         raise SolverError("the data's products overflow float64: rescale the data")
     return skk
@@ -224,8 +225,9 @@ def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     (lambda_k + lambda_{k+1}) I in the interior, and lambda_{N-1} I at
     k = N-1; couplings are -lambda_k I; right-hand sides are D(k)^T Xnext(k)^T.
     Both are batched matmuls; ``_gram`` forms the Gram blocks, by a GEMM made
-    exactly symmetric up to 4 columns and a symmetric rank-k update above.
-    Data whose products overflow float64 raise SolverError.
+    exactly symmetric up to 4 columns and a symmetric rank-k update above;
+    the weights are added to their diagonals in place.  Data whose products
+    overflow float64 raise SolverError.
     """
     lam = sched.materialize(data.N)
     return TridiagonalSystem(skk=_diagonal_blocks(data, lam), lam=lam,

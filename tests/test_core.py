@@ -77,15 +77,15 @@ def test_stacked_arrays_read_only():
 
 def test_stacking_holds_each_sample_once():
     """On the bench's wide-block shape (p = 8, q = 4, L = 24, N = 2 000),
-    stacking allocates at most 0.2 times the dataset's bytes (0.13 measured,
-    ``StackedData``'s finiteness temporaries; 1.13 when stacking wrote its
-    own copy of the samples, 3.79 when the states were held twice), and D,
-    Xnext and every trajectory are views of the dataset's one read-only
-    sample array."""
+    stacking allocates at most 0.01 times the dataset's bytes (nothing but
+    the views; 0.13 when ``StackedData`` tested the dataset's samples again
+    for finiteness, 1.13 when stacking wrote its own copy of the samples,
+    3.79 when the states were held twice), and D, Xnext and every
+    trajectory are views of the dataset's one read-only sample array."""
     dataset, size = wide_dataset(2000)
     with tracing() as peak:
         data = assemble_stacked(dataset)
-        assert peak() <= 0.2 * size
+        assert peak() <= 0.01 * size
     samples = dataset.samples
     assert data.D.base is data.Xnext.base is samples
     assert samples.shape == (2001, 24, 12) and not samples.flags.writeable

@@ -39,9 +39,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ltvkit import (ExcitationSpec, GainSchedule, LambdaSchedule, LqrWeights, LtvModel,
-                    NoiseConfig, SmdConfig, SolveOptions, Trajectory, TrajectoryDataset,
-                    assemble_stacked, closed_loop_rollout, cosmic_solve, covariance_sufficiency,
-                    lqr_synthesize, oracle_solve, sbcd_solve, simulate)
+                    NoiseConfig, SmdConfig, SolveOptions, StackedData, Trajectory,
+                    TrajectoryDataset, assemble_stacked, closed_loop_rollout, cosmic_solve,
+                    covariance_sufficiency, lqr_synthesize, oracle_solve, sbcd_solve, simulate)
 from ltvkit.cli import BenchSpec, SweepSpec
 
 from _cases import (dense_reference_solution, drifting_plant, random_dataset, relative_gap,
@@ -108,11 +108,20 @@ def trajectory_sets(draw):
 def test_dataset_samples_are_the_trajectories_handed_over(case):
     """Each trajectory of a built dataset is bitwise the arrays handed to
     ``build``; D[k, l] is bitwise [x_l(k), u_l(k)] and Xnext[k][:, l] is
-    x_l(k+1); and Sigma matches the sum of the per-trajectory covariances
-    to within 64 eps."""
+    x_l(k+1); ``assemble_stacked``, which skips ``StackedData``'s checks,
+    gives the same views as a checked ``StackedData`` of the samples; and
+    Sigma matches the sum of the per-trajectory covariances to within
+    64 eps."""
     p, q, pairs = case
     dataset = TrajectoryDataset.build(p, q, pairs)
     data = assemble_stacked(dataset)
+    checked = StackedData(D=dataset.samples[:-1],
+                          Xnext=dataset.samples[1:, :, :p].transpose(0, 2, 1))
+    for name in ("D", "Xnext"):
+        got, ref = getattr(data, name), getattr(checked, name)
+        assert (got.shape, got.strides) == (ref.shape, ref.strides)
+        assert got.base is ref.base is dataset.samples
+        assert not got.flags.writeable and not ref.flags.writeable
     ref = np.zeros((p + q, p + q))
     for ell, (tr, (states, inputs)) in enumerate(zip(dataset.trajectories, pairs, strict=True)):
         assert np.array_equal(tr.states, states) and np.array_equal(tr.inputs, inputs)

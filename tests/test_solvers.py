@@ -476,6 +476,18 @@ def test_closed_form_working_set():
         assert peak() <= 2.35 * size
 
 
+def test_system_assembly_working_set():
+    """On the wide-block shape ``build_system`` allocates at most 0.9 times
+    the dataset's bytes (0.88 measured: the diagonal blocks and Theta; 1.04
+    when the weights' stencil was a whole (N, m, m) array added to the Gram
+    blocks)."""
+    dataset, size = wide_dataset(2000)
+    data = assemble_stacked(dataset)
+    with tracing() as peak:
+        build_system(data, LambdaSchedule.scalar(1e3))
+        assert peak() <= 0.9 * size
+
+
 def test_chain_working_set():
     """Simulating the wide-block shape, stacking it, checking it and fitting
     it peaks within 3.35 times the dataset's bytes (3.19 measured, the
