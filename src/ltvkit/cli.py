@@ -21,7 +21,7 @@ import numpy as np
 from .control import (GainSchedule, LqrWeights, closed_loop_rollout, lqr_synthesize,
                       tracking_stats)
 from .core import (LambdaSchedule, LtvModel, TrajectoryDataset, _array, _dataclass_record,
-                   _finite, _flag, _integer, _of_type, _record, assemble_stacked)
+                   _finite, _first_nonfinite, _flag, _integer, _of_type, _record, assemble_stacked)
 from .diagnostics import covariance_sufficiency, estimation_error, prediction_error
 from .sim import ExcitationSpec, NoiseConfig, SmdConfig, generate_dataset, smd_model
 from .solvers import (SingularBlock, SizeGuard, SolveOptions, SolverError, cosmic_solve,
@@ -246,10 +246,9 @@ def _refuse_overflow(what: str, series, summary: str, values) -> None:
     float range: naming the first instant at which an entry of ``series``
     (arrays with one entry or row per instant) is not finite, or else with the
     message ``summary`` when one of the ``values`` summarizing them is not."""
-    bad = [np.flatnonzero(~np.isfinite(s.reshape(len(s), -1)).all(axis=1)) for s in series]
-    first = min((int(b[0]) for b in bad if b.size), default=None)
-    if first is not None:
-        raise SolverError(f"{what} overflows at instant {first}")
+    firsts = [int(bad[0]) for bad in map(_first_nonfinite, series) if bad is not None]
+    if firsts:
+        raise SolverError(f"{what} overflows at instant {min(firsts)}")
     if not np.isfinite(values).all():
         raise SolverError(summary)
 
@@ -365,27 +364,27 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Median fit errors over the seeds; each (sigma, seed) dataset is simulated
+    once and fitted at every lambda, each seed's held-out trajectory once."""
     spec = SweepSpec.from_dict(_read_json(args.spec))
     truth = smd_model(spec.smd)
     excitation = ExcitationSpec()
+    scheds = [LambdaSchedule.scalar(lam) for lam in spec.lambda_grid]
+    held_out = []  # each seed's noiseless trajectory, made in the first noise level's pass
     rows = []
     for sigma in spec.sigma_grid:
-        cells = [_fmt(sigma)]
-        for lam in spec.lambda_grid:
-            sched = LambdaSchedule.scalar(lam)
-            values = []
-            for seed in spec.seeds:
-                noise = NoiseConfig(sigma=sigma, seed=seed)
-                dataset = generate_dataset(truth, spec.L, excitation, noise, seed)
-                report = cosmic_solve(assemble_stacked(dataset), sched)
-                if spec.metric == "estimation":
-                    values.append(estimation_error(report.model, truth))
-                else:
-                    held_out = generate_dataset(truth, 1, excitation, None,
-                                                seed + 1_000_003).trajectories[0]
-                    values.append(float(np.mean(prediction_error(report.model, held_out))))
-            cells.append(_fmt(statistics.median(values)))
-        rows.append(cells)
+        values = [[] for _ in scheds]
+        for i, seed in enumerate(spec.seeds):
+            noise = NoiseConfig(sigma=sigma, seed=seed)
+            data = assemble_stacked(generate_dataset(truth, spec.L, excitation, noise, seed))
+            if spec.metric == "prediction" and i == len(held_out):
+                held_out.append(generate_dataset(truth, 1, excitation, None,
+                                                 seed + 1_000_003).trajectories[0])
+            for cell, sched in zip(values, scheds):
+                model = cosmic_solve(data, sched).model
+                cell.append(estimation_error(model, truth) if spec.metric == "estimation"
+                            else float(np.mean(prediction_error(model, held_out[i]))))
+        rows.append([_fmt(sigma)] + [_fmt(statistics.median(cell)) for cell in values])
     header = ["sigma"] + [f"lambda={_fmt(v)}" for v in spec.lambda_grid]
     _write_csv(args.out, header, rows)
     _emit(args, {"rows": len(rows), "columns": len(header), "out": args.out})

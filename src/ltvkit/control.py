@@ -203,9 +203,9 @@ def _riccati_step(a: Array, b: Array, later: Array, state_cost: Array, input_cos
     return d, sinv, gain, closed, _sym(state_cost + ap @ closed)
 
 
-def _chunk_ends(a: Array, b: Array, weights: LqrWeights, terminal: Array) -> Array:
-    """P(k+1) for the last instant k of every chunk of A (chunks, T, p, p)
-    and B (chunks, T, p, q): the up and across phases of ``lqr_synthesize``.
+def _chunk_ends(a: Array, b: Array, costs: tuple, r: float, terminal: Array) -> Array:
+    """P(k+1) for the last instant k of every chunk of A (chunks, T, p, p) and B
+    (chunks, T, p, q), costs (Q, r I): ``lqr_synthesize``'s up and across phases.
 
     Every chunk but the first is folded right to left into its composite
     element, e_t ⊗ (A2, C2, J2).  By Woodbury,
@@ -214,16 +214,13 @@ def _chunk_ends(a: Array, b: Array, weights: LqrWeights, terminal: Array) -> Arr
     J = Q + A^T J2 (A - B K), A = A2 (A - B K) and
     C = C2 + (A2 B) S^-1 (A2 B)^T.  S is SPD because J2 is a cost-to-go
     with zero terminal cost.  The last chunk gets the terminal cost as
-    given, like the recursion.
+    given, like the recursion; a single chunk has no composite to fold.
     """
-    p, q = b.shape[-2:]
+    p = a.shape[-1]
     ends = np.empty((a.shape[0], p, p))
     ends[-1] = terminal
-    if a.shape[0] == 1:
-        return ends
     a, b = a[1:], b[1:]
-    costs = weights.state_cost(p), weights.input_cost(q)
-    comp_a, comp_c, comp_j = a[:, -1], b[:, -1] @ (b[:, -1].mT / weights.r), costs[0]
+    comp_a, comp_c, comp_j = a[:, -1], b[:, -1] @ (b[:, -1].mT / r), costs[0]
     for t in range(a.shape[1] - 2, -1, -1):
         _, sinv, _, closed, comp_j = _riccati_step(a[:, t], b[:, t], comp_j, *costs)
         g = comp_a @ b[:, t]
@@ -289,7 +286,7 @@ def lqr_synthesize(model: LtvModel, weights: Optional[LqrWeights] = None) -> Gai
     chunk_gains, chunk_ric = gains.reshape(chunks, _CHUNK, q, p), ric[:-1].reshape(a.shape)
     definite = np.empty((chunks, _CHUNK), dtype=bool)
     with np.errstate(all="ignore"):  # the results are tested below
-        later = ends = _chunk_ends(a, b, weights, terminal)
+        later = ends = _chunk_ends(a, b, costs, weights.r, terminal)
         for t in range(_CHUNK - 1, -1, -1):
             d, _, chunk_gains[:, t], _, later = _riccati_step(a[:, t], b[:, t], later, *costs)
             chunk_ric[:, t] = later

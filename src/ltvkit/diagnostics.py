@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import LtvModel, Trajectory, TrajectoryDataset, _finite, _integer
+from .core import LtvModel, Trajectory, TrajectoryDataset, _finite, _integer, assemble_stacked
 from .sim import simulate
 
 Array = np.ndarray
@@ -71,8 +71,8 @@ def covariance_sufficiency(dataset: TrajectoryDataset,
 
     Each trajectory contributes Sigma_l = (1/N) sum_k z(k) z(k)^T over its
     samples z(k) = [x(k); u(k)], k = 0 .. N-1; the sum is one product over
-    the first N rows of ``dataset.samples``, the fit's regressors, without a
-    copy.  The verdict is taken on the sum Sigma rescaled to unit diagonal,
+    the fit's regressors, ``assemble_stacked``'s D, without a copy.  The
+    verdict is taken on the sum Sigma rescaled to unit diagonal,
     D^(-1/2) Sigma D^(-1/2) with D = diag(Sigma), over the coordinates that
     vary: ``rank`` counts its eigenvalues above ``tol`` (default 1e-10; a
     finite ``tol`` below the smallest normal float is raised to it, a
@@ -87,7 +87,7 @@ def covariance_sufficiency(dataset: TrajectoryDataset,
     if tol is not None:
         _finite("tol", tol)
     m = dataset.p + dataset.q
-    z = dataset.samples[:-1].reshape(-1, m)  # a view, one row per sample
+    z = assemble_stacked(dataset).D.reshape(-1, m)  # a view, one row per sample
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = (z.T @ z) / dataset.N
     if not np.isfinite(sigma).all():

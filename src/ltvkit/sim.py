@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (LtvModel, SolverError, Trajectory, TrajectoryDataset, _array,
-                   _dataclass_record, _finite, _first_nonfinite, _flag, _frozen_array, _integer)
+from .core import (LtvModel, SolverError, TrajectoryDataset, _array, _dataclass_record,
+                   _finite, _first_nonfinite, _flag, _frozen_array, _integer)
 
 Array = np.ndarray
 

@@ -27,8 +27,8 @@ reduction's from the shapes of its stored levels.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -89,17 +89,13 @@ class SizeGuard(SolverError):
         super().__init__(f"dense system of size {size} exceeds the limit {limit}")
 
 
-@dataclass(frozen=True)
-class TridiagonalSystem:
-    """Blocks of the normal equations: diagonals, couplings, right-hand sides."""
+class TridiagonalSystem(NamedTuple):
+    """Blocks of the normal equations: diagonals, couplings, right-hand sides;
+    ``build_system`` makes all three from one N, so they agree on it."""
 
     skk: Array    # (N, p+q, p+q) diagonal blocks, symmetric positive definite
     lam: Array    # (N-1,) coupling weights; block (k, k-1) is -lam[k-1] I
     theta: Array  # (N, p+q, p) right-hand side blocks
-
-    def __post_init__(self):
-        if self.skk.shape[0] != self.theta.shape[0] or self.skk.shape[0] != self.lam.size + 1:
-            raise ValueError("tridiagonal system blocks disagree on the horizon")
 
 
 @dataclass(frozen=True)
@@ -230,8 +226,7 @@ def build_system(data: StackedData, sched: LambdaSchedule) -> TridiagonalSystem:
     overflow float64 raise SolverError.
     """
     lam = sched.materialize(data.N)
-    return TridiagonalSystem(skk=_diagonal_blocks(data, lam), lam=lam,
-                             theta=_right_hand_sides(data))
+    return TridiagonalSystem(_diagonal_blocks(data, lam), lam, _right_hand_sides(data))
 
 
 def _unstable(d: Array, diag: Array) -> Array:
@@ -479,10 +474,11 @@ def _reduction_count(levels: list, k: int) -> tuple[int, int]:
     return forward, backward
 
 
-def _finish(model, data, sched, counts, elapsed, iterations, converged=True):
-    """The report of a solve whose multiplies are ``counts`` = (forward,
-    backward, other)."""
+def _finish(c, data, sched, counts, elapsed, iterations, converged=True):
+    """The report of a solve that found the blocks ``c`` with multiplies ``counts``
+    = (forward, backward, other); their model is built here, after ``elapsed``."""
     forward, backward, other = counts
+    model = LtvModel(p=data.p, q=data.q, N=data.N, C=c)
     final_cost, grad = _cost_and_gradient(model, data, sched)
     return SolveReport(
         model=model,
@@ -526,8 +522,7 @@ def cosmic_solve(data: StackedData, sched: LambdaSchedule,
         counts = (*_reduction_count(levels, data.p), _stacking_count(data))
     del levels  # so that _finish's verification can reuse their memory
     elapsed = time.perf_counter() - start
-    model = LtvModel(p=data.p, q=data.q, N=data.N, C=c)
-    return _finish(model, data, sched, counts, elapsed, 1)
+    return _finish(c, data, sched, counts, elapsed, 1)
 
 
 def oracle_solve(data: StackedData, sched: LambdaSchedule,
@@ -566,9 +561,8 @@ def oracle_solve(data: StackedData, sched: LambdaSchedule,
         raise SingularBlock(int(bad.argmax()))
     c, _ = lapack.dpotrs(factor, system.theta.reshape(size, p), lower=True)
     elapsed = time.perf_counter() - start
-    model = LtvModel(p=data.p, q=data.q, N=data.N, C=c.reshape(n_blocks, m, p))
     counts = 0, 0, _stacking_count(data) + _chol_count(size) + size * size * p
-    return _finish(model, data, sched, counts, elapsed, 1)
+    return _finish(c.reshape(n_blocks, m, p), data, sched, counts, elapsed, 1)
 
 
 def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
@@ -595,8 +589,7 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
     _integer("max_iters (sweep budget)", max_iters, 0)
     _integer("seed", seed, 0)
     start = time.perf_counter()
-    system = build_system(data, sched)
-    skk, lam, theta = system.skk, system.lam, system.theta
+    skk, lam, theta = build_system(data, sched)
     n_blocks, m, p = theta.shape
     rng = np.random.default_rng(seed)
     c = rng.uniform(-0.5, 0.5, size=(n_blocks, m, p))
@@ -621,10 +614,9 @@ def sbcd_solve(data: StackedData, sched: LambdaSchedule, epsilon: float = 1e-10,
         sweeps += 1
         converged = grad_sq() <= epsilon
     elapsed = time.perf_counter() - start
-    model = LtvModel(p=data.p, q=data.q, N=data.N, C=c)
     # Each sweep solves N blocks and adds two scaled neighbours to each
     # right-hand side; each stopping test evaluates the gradient once.
     other = (_stacking_count(data) + _inverse_count(n_blocks, m)
              + sweeps * n_blocks * (m * m * p + 2 * m * p)
              + (sweeps + 1) * (2 * n_blocks * data.L + n_blocks - 1) * m * p)
-    return _finish(model, data, sched, (0, 0, other), elapsed, sweeps, converged)
+    return _finish(c, data, sched, (0, 0, other), elapsed, sweeps, converged)

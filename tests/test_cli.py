@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ltvkit import (LambdaSchedule, LtvModel, SmdConfig, TrajectoryDataset, assemble_stacked,
-                    cli, cosmic_solve, generate_dataset, smd_model)
+                    cli, cosmic_solve, generate_dataset, predicted_multiply_count, smd_model)
 from ltvkit.cli import _COVARIANCE_HINT, _fmt, main
 
 HINT = "dataset covariance not positive definite - collect more varied trajectories"
@@ -237,6 +237,17 @@ def test_fit_names_products_that_overflow(workdir, tmp_path, capsys):
         assert err == "error: the data's products overflow float64: rescale the data\n"
         assert out == ""
         assert not out_path.exists()
+
+
+def test_fit_accounting_reports_the_textbook_counts(workdir, tmp_path, capsys):
+    data = str(workdir / "data.json")
+    code, out, _ = run(capsys, "fit", "--data", data, "--lambda", "1e-2", "--accounting",
+                       "--out", str(tmp_path / "model.json"))
+    assert code == 0
+    report = json.loads(out)
+    textbook = predicted_multiply_count(12, 2, 1)
+    assert (report["multiply_count"], report["multiply_forward"],
+            report["multiply_backward"]) == tuple(textbook)
 
 
 def test_fit_solvers_agree(workdir, tmp_path, capsys):
@@ -807,6 +818,27 @@ def test_sweep_prediction_metric(tmp_path, capsys):
     assert float(rows[0][1]) < 1e-2
 
 
+@pytest.mark.parametrize("metric, held_out", [("estimation", 0), ("prediction", 1)])
+def test_sweep_simulates_each_dataset_once(tmp_path, capsys, monkeypatch, metric, held_out):
+    """Each (sigma, seed) dataset is simulated once for all lambdas, and with
+    the prediction metric each seed's held-out trajectory once for the grid."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return generate_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_dataset", counting)
+    sigmas, seeds = [0.0, 0.06], [0, 1, 2]
+    spec = write_json(tmp_path / "spec.json",
+                      {"metric": metric, "lambda_grid": [1e-3, 1.0, 1e5, 1.0],
+                       "sigma_grid": sigmas, "seeds": seeds, "smd": {"N": 20}})
+    code, _, _ = run(capsys, "sweep", "--spec", spec, "--out", str(tmp_path / "s.csv"))
+    assert code == 0
+    assert len(calls) == len(sigmas) * len(seeds) + held_out * len(seeds)
+    assert sum(1 for args in calls if args[0] == 1) == held_out * len(seeds)
+
+
 def test_sweep_spec_validation(tmp_path, capsys):
     cases = [
         ({"lambda_grid": [0.0], "sigma_grid": [0.0]},
@@ -816,6 +848,9 @@ def test_sweep_spec_validation(tmp_path, capsys):
         ({"lambda_grid": [1.0]}, "sigma_grid is required"),
         ({"lambda_grid": [1.0], "sigma_grid": [float("nan")], "seeds": [0],
           "smd": {"N": 10}}, "sigma_grid entry must be a finite nonnegative number, got nan"),
+        ({"lambda_grid": [1.0], "sigma_grid": []}, "sigma_grid must list at least one noise level"),
+        ({"lambda_grid": [1.0], "sigma_grid": [0.0], "seeds": []},
+         "seeds must list at least one seed"),
     ]
     for obj, needle in cases:
         spec = write_json(tmp_path / "spec.json", obj)

@@ -252,6 +252,13 @@ def test_gain_schedule_arrays_are_numeric_and_read_only():
         LqrWeights(terminal=[["1", 0.0], [0.0, 1.0]])
 
 
+def test_gain_schedule_refuses_riccati_solutions_of_the_wrong_shape():
+    # P needs one more instant than K: three gains of q = 1, p = 2 need (4, 2, 2).
+    for shape in ((3, 2, 2), (4, 1, 1), (4, 2, 1)):
+        with pytest.raises(ValueError, match=r"^Riccati solutions must be an \(N\+1, p, p\) array$"):
+            GainSchedule(K=np.zeros((3, 1, 2)), P=np.zeros(shape))
+
+
 def test_gain_schedule_holds_the_synthesized_arrays(monkeypatch):
     handed = {}
 

@@ -116,11 +116,14 @@ def test_build_system_matches_per_instant_products():
         assert relative_gap(system.theta, theta) <= 1e-14
 
 
-def test_tridiagonal_system_shape_validation():
-    with pytest.raises(ValueError, match="disagree on the horizon"):
-        from ltvkit import TridiagonalSystem
-        TridiagonalSystem(skk=np.zeros((3, 2, 2)), lam=np.zeros(1),
-                          theta=np.zeros((3, 2, 1)))
+def test_build_system_unpacks_into_its_three_blocks():
+    """The system unpacks as ``skk, lam, theta``, as SBCD reads it, and the
+    three agree on the horizon because one N makes them."""
+    data, sched = random_instance(np.random.default_rng(14))
+    system = build_system(data, sched)
+    skk, lam, theta = system
+    assert skk is system.skk and lam is system.lam and theta is system.theta
+    assert skk.shape[0] == theta.shape[0] == lam.size + 1 == data.N
 
 
 # ---------------------------------------------------------------- closed form
@@ -690,16 +693,22 @@ def test_sbcd_cost_never_increases_across_sweeps():
 def test_overflowing_products_raise_solver_error():
     """States near the float range make build_system's Gram and right-hand
     side products overflow; every route says so, without a numpy warning
-    (an error under this suite's filter) and without blaming a pivot."""
+    (an error under this suite's filter) and without blaming a pivot.  A
+    last state row at 1e308 overflows Theta alone: the regressors, and so
+    the Gram blocks and the check, stop one row short of it."""
     ds = generate_dataset(smd_model(SmdConfig(N=30)), 6, seed=1)
-    big = assemble_stacked(TrajectoryDataset.build(
-        ds.p, ds.q, [(tr.states * 1e200, tr.inputs) for tr in ds.trajectories]))
+    scaled = [(tr.states * 1e200, tr.inputs) for tr in ds.trajectories]
+    last_row = [(np.concatenate([tr.states[:-1], np.full((1, ds.p), 1e308)]), tr.inputs)
+                for tr in ds.trajectories]
     sched = LambdaSchedule.scalar(1e5)
-    for solve in (build_system, cosmic_solve, sbcd_solve, oracle_solve):
-        with pytest.raises(solvers.SolverError) as info:
-            solve(big, sched)
-        assert type(info.value) is solvers.SolverError
-        assert str(info.value) == "the data's products overflow float64: rescale the data"
+    for pairs in (scaled, last_row):
+        big = TrajectoryDataset.build(ds.p, ds.q, pairs)
+        for solve in (build_system, cosmic_solve, sbcd_solve, oracle_solve):
+            with pytest.raises(solvers.SolverError) as info:
+                solve(assemble_stacked(big), sched)
+            assert type(info.value) is solvers.SolverError
+            assert str(info.value) == "the data's products overflow float64: rescale the data"
+    assert covariance_sufficiency(big).sufficient
 
 
 def test_sbcd_argument_validation():
