@@ -21,7 +21,7 @@ import numpy as np
 from .control import (GainSchedule, LqrWeights, closed_loop_rollout, lqr_synthesize,
                       tracking_stats)
 from .core import (LambdaSchedule, LtvModel, TrajectoryDataset, _array, _dataclass_record,
-                   _finite, _first_nonfinite, _flag, _integer, _of_type, _record, assemble_stacked)
+                   _finite, _flag, _integer, _of_type, _record, _require_finite, assemble_stacked)
 from .diagnostics import covariance_sufficiency, estimation_error, prediction_error
 from .sim import ExcitationSpec, NoiseConfig, SmdConfig, generate_dataset, smd_model
 from .solvers import (SingularBlock, SizeGuard, SolveOptions, SolverError, cosmic_solve,
@@ -241,18 +241,6 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _refuse_overflow(what: str, series, summary: str, values) -> None:
-    """Raise SolverError when a result computed under ``np.errstate`` left the
-    float range: naming the first instant at which an entry of ``series``
-    (arrays with one entry or row per instant) is not finite, or else with the
-    message ``summary`` when one of the ``values`` summarizing them is not."""
-    firsts = [int(bad[0]) for bad in map(_first_nonfinite, series) if bad is not None]
-    if firsts:
-        raise SolverError(f"{what} overflows at instant {min(firsts)}")
-    if not np.isfinite(values).all():
-        raise SolverError(summary)
-
-
 def cmd_eval(args) -> int:
     model = LtvModel.from_dict(_read_json(args.model))
     summary: dict = {"mode": args.mode}
@@ -261,8 +249,9 @@ def cmd_eval(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             summary["estimation_error"] = estimation_error(model, truth)
             blocks = np.linalg.norm(model.C - truth.C, axis=(1, 2))
-        _refuse_overflow("the estimation error", [blocks], "the estimation error overflows",
-                         summary["estimation_error"])
+        _require_finite("the estimation error overflows at instant {0}", blocks, error=SolverError)
+        _require_finite("the estimation error overflows", summary["estimation_error"],
+                        error=SolverError)
     if args.data:
         dataset = TrajectoryDataset.from_dict(_read_json(args.data))
         if not 0 <= args.trajectory < dataset.L:
@@ -270,8 +259,9 @@ def cmd_eval(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             errors = prediction_error(model, dataset.trajectories[args.trajectory], args.mode)
             mean = float(np.mean(errors))
-        _refuse_overflow(f"the {args.mode} prediction", [errors],
-                         "the mean prediction error overflows", mean)
+        _require_finite(f"the {args.mode} prediction overflows at instant {{0}}", errors,
+                        error=SolverError)
+        _require_finite("the mean prediction error overflows", mean, error=SolverError)
         summary["trajectory"] = args.trajectory
         summary["mean_error"] = mean
         summary["max_error"] = float(np.max(errors))
@@ -311,9 +301,10 @@ def cmd_rollout(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         result = closed_loop_rollout(plant, gains, reference, x0, noise)
         stats = tracking_stats(result.tracking_errors)
-    _refuse_overflow("the rollout", [result.states, result.inputs, result.tracking_errors],
-                     "the rollout's tracking statistics overflow",
-                     [stats.mean, stats.stddev, stats.sum_sq])
+    _require_finite("the rollout overflows at instant {0}",
+                    result.states, result.inputs, result.tracking_errors, error=SolverError)
+    _require_finite("the rollout's tracking statistics overflow",
+                    stats.mean, stats.stddev, stats.sum_sq, error=SolverError)
     if args.out:
         header = (["k"] + [f"x{i}" for i in range(plant.p)]
                   + [f"u{j}" for j in range(plant.q)] + ["tracking_error"])

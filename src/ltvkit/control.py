@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LtvModel, _finite, _first_nonfinite, _frozen_array, _of_type, _record
+from .core import LtvModel, _finite, _frozen_array, _of_type, _record, _require_finite
 from .sim import NoiseConfig, _step
 from .solvers import SolverError, _blockwise, _spd_inverse
 
@@ -29,6 +29,7 @@ __all__ = [
     "SingularInputCost",
     "lqr_synthesize",
     "closed_loop_rollout",
+    "position_coordinates",
     "tracking_stats",
 ]
 
@@ -46,7 +47,7 @@ def position_coordinates(p: int) -> np.ndarray:
     return np.arange((p + 1) // 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LqrWeights:
     """Diagonal LQR weights: q_x on positions, q_v on the rest, r on inputs.
 
@@ -63,8 +64,7 @@ class LqrWeights:
             _finite(name, getattr(self, name), positive=True)
         if self.terminal is not None:
             term = _frozen_array(self.terminal, "terminal cost entries")
-            if not np.isfinite(term).all():
-                raise ValueError("terminal cost is not finite")
+            _require_finite("terminal cost is not finite", term)
             object.__setattr__(self, "terminal", term)
 
     def state_cost(self, p: int) -> Array:
@@ -83,7 +83,7 @@ class LqrWeights:
         return self.terminal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainSchedule:
     """Time-varying finite feedback gains K(k), with the Riccati solutions kept."""
 
@@ -98,10 +98,9 @@ class GainSchedule:
             object.__setattr__(self, "P", _frozen_array(self.P, "Riccati solutions"))
             if self.P.shape != (self.N + 1, self.K.shape[2], self.K.shape[2]):
                 raise ValueError("Riccati solutions must be an (N+1, p, p) array")
-        for what, values in (("gains", self.K), ("Riccati solutions", self.P)):
-            bad = None if values is None else _first_nonfinite(values)
-            if bad is not None:
-                raise ValueError(f"{what} at instant {bad[0]} are not finite")
+        _require_finite("gains at instant {0} are not finite", self.K)
+        if self.P is not None:
+            _require_finite("Riccati solutions at instant {0} are not finite", self.P)
 
     @property
     def N(self) -> int:
@@ -115,7 +114,7 @@ class GainSchedule:
         return cls(K=_record("gain record", obj, ("K",))["K"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RolloutResult:
     states: Array           # (N+1, p)
     inputs: Array           # (N, q)
@@ -301,9 +300,8 @@ def lqr_synthesize(model: LtvModel, weights: Optional[LqrWeights] = None) -> Gai
     # Sums and products keep a value that is not finite, and each step forms
     # P(k) from P(k+1) through them, so an overflow anywhere in a chunk
     # reaches the P at its start.
-    if not np.isfinite(later).all():
-        raise SolverError("the Riccati recursion overflows float64: "
-                          "rescale the model or the weights")
+    _require_finite("the Riccati recursion overflows float64: rescale the model or the weights",
+                    later, error=SolverError)
     gains.setflags(write=False)  # so that the schedule holds both without a copy
     ric.setflags(write=False)
     return GainSchedule(K=gains[pad:], P=ric[pad:])
@@ -331,14 +329,11 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
     ref = np.zeros((n + 1, p)) if reference is None else _frozen_array(reference, "reference states")
     if ref.shape != (n + 1, p):
         raise ValueError(f"reference has shape {ref.shape}, expected ({n + 1}, {p})")
-    bad = _first_nonfinite(ref)
-    if bad is not None:
-        raise ValueError(f"reference state at instant {bad[0]} is not finite")
+    _require_finite("reference state at instant {0} is not finite", ref)
     x0 = ref[0] if x0 is None else _frozen_array(x0, "initial state entries")
     if x0.shape != (p,):
         raise ValueError(f"initial state has shape {x0.shape}, expected ({p},)")
-    if not np.isfinite(x0).all():
-        raise ValueError(f"initial state {x0.tolist()} is not finite")
+    _require_finite(f"initial state {x0.tolist()} is not finite", x0)
 
     # Rows of the measurement noise and reference, or None where an
     # operation would add or subtract zero and is dropped.

@@ -182,6 +182,16 @@ def _first_nonfinite(values: Array):
     return None if finite.all() else np.unravel_index(finite.argmin(), finite.shape)
 
 
+def _require_finite(message: str, *series, error=ValueError) -> None:
+    """Raise ``error(message.format(*index))`` if an entry of ``series`` (arrays
+    or numbers) is not finite, ``index`` being the least index of such an entry
+    over all of them; with one entry or row per instant, ``{0}`` names an instant.
+    Non-finite data and results are refused here, settings by ``_finite``."""
+    bad = [index for index in map(_first_nonfinite, series) if index is not None]
+    if bad:
+        raise error(message.format(*min(bad)))
+
+
 def _check_weight(value) -> None:
     _finite("smoothness weight", value, positive=True)
     if float(value) > _LAMBDA_MAX:
@@ -225,13 +235,11 @@ def _refuse_nonfinite(trajectories) -> None:
     """ValueError naming the first trajectory, states before inputs, and the
     first instant within that array, that holds a non-finite value."""
     for ell, tr in enumerate(trajectories):
-        for name, values in (("states", tr.states), ("inputs", tr.inputs)):
-            bad = _first_nonfinite(values)
-            if bad is not None:
-                raise ValueError(f"trajectory {ell}: {name} at instant {bad[0]} are not finite")
+        _require_finite(f"trajectory {ell}: states at instant {{0}} are not finite", tr.states)
+        _require_finite(f"trajectory {ell}: inputs at instant {{0}} are not finite", tr.inputs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """One recorded run: states x(0..N) and inputs u(0..N-1), rows per instant
     (in a dataset, read-only views into its ``samples``)."""
@@ -246,7 +254,7 @@ class Trajectory:
             raise ValueError("trajectory states and inputs must be 2-D arrays")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryDataset:
     """A set of L trajectories sharing dimensions p, q and horizon N.
 
@@ -264,7 +272,7 @@ class TrajectoryDataset:
     q: int
     N: int
     trajectories: tuple[Trajectory, ...]
-    samples: Array = field(init=False, repr=False, compare=False)
+    samples: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         trajs = _array("trajectories", self.trajectories,
@@ -343,7 +351,7 @@ class TrajectoryDataset:
         return ds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StackedData:
     """Per-instant regressor stacks over a dataset: the solvers' input.
 
@@ -368,12 +376,9 @@ class StackedData:
             raise ValueError("stacked data disagree on the number of trajectories")
         if self.Xnext.shape[1] > self.D.shape[2]:
             raise ValueError("state dimension exceeds the regressor width")
-        for name, values, axis in (("regressors", self.D, 1), ("successor states", self.Xnext, 2)):
-            bad = _first_nonfinite(values)
-            if bad is not None:
-                raise ValueError(
-                    f"trajectory {bad[axis]}: {name} at instant {bad[0]} are not finite"
-                )
+        _require_finite("trajectory {1}: regressors at instant {0} are not finite", self.D)
+        _require_finite("trajectory {2}: successor states at instant {0} are not finite",
+                        self.Xnext)
 
     @property
     def N(self) -> int:
@@ -396,7 +401,7 @@ class StackedData:
         return self.D.shape[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtvModel:
     """A discrete-time LTV model stored as finite blocks C(k) = [A(k)^T; B(k)^T]."""
 
@@ -415,9 +420,7 @@ class LtvModel:
                 f"coefficient stack has shape {self.C.shape}, "
                 f"expected ({self.N}, {self.p + self.q}, {self.p})"
             )
-        bad = _first_nonfinite(self.C)
-        if bad is not None:
-            raise ValueError(f"model coefficients at instant {bad[0]} are not finite")
+        _require_finite("model coefficients at instant {0} are not finite", self.C)
 
     def A(self, k: int) -> Array:
         """State matrix A(k), shape (p, p)."""
@@ -467,7 +470,7 @@ class LtvModel:
         return cls(p=obj["p"], q=obj["q"], N=obj["N"], C=obj["C"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LambdaSchedule:
     """Smoothness weights 0 < lambda_k <= sqrt(float max) for k = 1 .. N-1.
 

@@ -11,12 +11,13 @@ and the error metrics used for validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import LtvModel, Trajectory, TrajectoryDataset, _finite, _integer, assemble_stacked
+from .core import (LtvModel, Trajectory, TrajectoryDataset, _finite, _integer, _require_finite,
+                   assemble_stacked)
 from .sim import simulate
 
 Array = np.ndarray
@@ -31,32 +32,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SufficiencyReport:
     """Outcome of the covariance sufficiency check.
 
     ``sigma`` and ``min_eigenvalue`` are raw; ``rank``, ``sufficient`` and
     ``tolerance`` refer to the unit-diagonal rescaling of ``sigma``, whose
     smallest eigenvalue is ``scaled_min_eigenvalue`` (0.0 when a coordinate
-    never varies).
+    never varies).  ``to_dict()`` writes every field, ``sigma`` as nested
+    lists; the field order is the JSON key order.
     """
 
-    sigma: Array
+    sufficient: bool
     min_eigenvalue: float
     scaled_min_eigenvalue: float
-    sufficient: bool
     rank: int
     tolerance: float
+    sigma: Array
 
     def to_dict(self) -> dict:
-        return {
-            "sufficient": self.sufficient,
-            "min_eigenvalue": self.min_eigenvalue,
-            "scaled_min_eigenvalue": self.scaled_min_eigenvalue,
-            "rank": self.rank,
-            "tolerance": self.tolerance,
-            "sigma": self.sigma.tolist(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return out | {"sigma": self.sigma.tolist()}
 
 
 class MultiplyCount(NamedTuple):
@@ -90,8 +86,7 @@ def covariance_sufficiency(dataset: TrajectoryDataset,
     z = assemble_stacked(dataset).D.reshape(-1, m)  # a view, one row per sample
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = (z.T @ z) / dataset.N
-    if not np.isfinite(sigma).all():
-        raise ValueError("the sample covariance overflows float64: rescale the data")
+    _require_finite("the sample covariance overflows float64: rescale the data", sigma)
     tol = max(1e-10 if tol is None else float(tol), float(np.finfo(np.float64).tiny))
     scale = np.sqrt(np.diagonal(sigma))
     varies = scale > 0.0

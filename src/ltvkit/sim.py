@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (LtvModel, SolverError, TrajectoryDataset, _array, _dataclass_record,
-                   _finite, _first_nonfinite, _flag, _frozen_array, _integer)
+                   _finite, _flag, _frozen_array, _integer, _require_finite)
 
 Array = np.ndarray
 
@@ -216,8 +216,7 @@ def generate_dataset(model: LtvModel, L: int, excitation: Optional[ExcitationSpe
         inputs[:, ell] = _draw_inputs(excitation, rng, model.N, model.q)
     with np.errstate(over="ignore", invalid="ignore"):
         states = _simulate_batch(model, x0, inputs)
-    if not np.isfinite(states).all():
-        raise SolverError(f"the simulation overflows at instant {_first_nonfinite(states)[0]}")
+    _require_finite("the simulation overflows at instant {0}", states, error=SolverError)
     if noise is not None and noise.sigma > 0.0:
         for ell in range(L):
             noise_rng = np.random.default_rng([noise.seed, ell, 1])

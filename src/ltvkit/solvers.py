@@ -27,13 +27,13 @@ reduction's from the shapes of its stored levels.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .core import (LambdaSchedule, LtvModel, SolverError, StackedData, _cost_and_gradient,
-                   _finite, _flag, _integer, gradient)
+                   _finite, _flag, _integer, _require_finite, gradient)
 from .diagnostics import predicted_multiply_count
 
 Array = np.ndarray
@@ -121,10 +121,11 @@ class SolveOptions:
         _flag("accounting", self.accounting)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of a solve: the model plus cost, gradient, and effort metrics.
 
+    ``to_dict()`` writes every field but ``model``; the field order is the JSON key order.
     ``preconditioned`` and its ``to_dict()`` key are always False; they are
     kept so that readers written for the retired preconditioned route run.
     """
@@ -133,25 +134,15 @@ class SolveReport:
     final_cost: float
     gradient_norm: float
     multiply_count: int
+    multiply_forward: int
+    multiply_backward: int
     elapsed: float
     iterations: int
     preconditioned: bool = False
     converged: bool = True
-    multiply_forward: int = 0
-    multiply_backward: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "final_cost": self.final_cost,
-            "gradient_norm": self.gradient_norm,
-            "multiply_count": self.multiply_count,
-            "multiply_forward": self.multiply_forward,
-            "multiply_backward": self.multiply_backward,
-            "elapsed": self.elapsed,
-            "iterations": self.iterations,
-            "preconditioned": self.preconditioned,
-            "converged": self.converged,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "model"}
 
 
 # Multiplies are counted from the problem shapes, by standard dense linear
@@ -191,6 +182,9 @@ def _gram(a: Array) -> Array:
     return 0.5 * (g + g.mT)
 
 
+_PRODUCTS_OVERFLOW = "the data's products overflow float64: rescale the data"
+
+
 def _diagonal_blocks(data: StackedData, lam: Array) -> Array:
     """D(k)^T D(k) plus the coupling weights' stencil, added on the diagonal
     in place; data whose Gram blocks overflow float64 raise SolverError."""
@@ -200,8 +194,7 @@ def _diagonal_blocks(data: StackedData, lam: Array) -> Array:
     with np.errstate(over="ignore", invalid="ignore"):
         skk = _gram(data.D)
         skk.reshape(data.N, -1)[:, :: data.width + 1] += shift[:, None]
-    if not np.isfinite(skk).all():
-        raise SolverError("the data's products overflow float64: rescale the data")
+    _require_finite(_PRODUCTS_OVERFLOW, skk, error=SolverError)
     return skk
 
 
@@ -209,8 +202,7 @@ def _right_hand_sides(data: StackedData) -> Array:
     """D(k)^T Xnext(k)^T; data whose products overflow float64 raise SolverError."""
     with np.errstate(over="ignore", invalid="ignore"):
         theta = data.D.mT @ data.Xnext.mT
-    if not np.isfinite(theta).all():
-        raise SolverError("the data's products overflow float64: rescale the data")
+    _require_finite(_PRODUCTS_OVERFLOW, theta, error=SolverError)
     return theta
 
 
@@ -485,11 +477,11 @@ def _finish(c, data, sched, counts, elapsed, iterations, converged=True):
         final_cost=final_cost,
         gradient_norm=float(np.linalg.norm(grad)),
         multiply_count=forward + backward + other,
+        multiply_forward=forward,
+        multiply_backward=backward,
         elapsed=elapsed,
         iterations=iterations,
         converged=converged,
-        multiply_forward=forward,
-        multiply_backward=backward,
     )
 
 

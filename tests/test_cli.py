@@ -646,11 +646,14 @@ def test_rollout_that_overflows_exits_2_naming_the_instant(plant_files, tmp_path
     doubling = write_json(tmp_path / "doubling.json",
                           LtvModel.constant([[2.0]], [[0.5]], 20).to_dict())
     idle = write_json(tmp_path / "idle.json", {"K": [[[0.0]]] * 20})
+    # u(5) = -1e300 x(5) overflows while x(5) = 3.2e11 is finite: instant 5, not 6.
+    kick = write_json(tmp_path / "kick.json", {"K": [[[0.0]]] * 5 + [[[1e300]]] * 15})
     cases = [
         (plant, gains, "1e308,1e308", "the rollout overflows at instant 0"),
         # The state 1e150 * 2**k stays finite; its square, and so the tracking
         # error, overflows first at k = 14.
         (doubling, idle, "1e150", "the rollout overflows at instant 14"),
+        (doubling, kick, "1e10", "the rollout overflows at instant 5\n"),
         (plant, gains, "1e154,0", "the rollout's tracking statistics overflow"),
     ]
     csv_path = tmp_path / "r.csv"

@@ -37,6 +37,15 @@ def test_weights_build_diagonal_costs():
     assert_allclose(LqrWeights(terminal=np.eye(2) * 7).terminal_cost(2), 7 * np.eye(2))
 
 
+def test_non_finite_riccati_solutions_and_terminal_cost_are_named():
+    p = np.ones((3, 2, 2))
+    p[1, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="^Riccati solutions at instant 1 are not finite$"):
+        GainSchedule(K=np.zeros((2, 1, 2)), P=p)
+    with pytest.raises(ValueError, match="^terminal cost is not finite$"):
+        LqrWeights(terminal=[[1, 0], [0, np.nan]])
+
+
 def test_weights_validation():
     with pytest.raises(ValueError, match="^q_x must be a finite number > 0, got 0.0$"):
         LqrWeights(q_x=0.0)

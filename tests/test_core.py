@@ -325,6 +325,24 @@ def test_model_validation_and_round_trip():
             LtvModel.from_dict(record)
 
 
+def test_a_non_finite_coefficient_is_named_by_its_instant():
+    c = np.zeros((3, 2, 1))
+    c[1, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="^model coefficients at instant 1 are not finite$"):
+        LtvModel(p=1, q=1, N=3, C=c)
+
+
+def test_value_objects_compare_and_hash_by_identity():
+    # Comparing or hashing their array fields by value raised.
+    model = LtvModel.constant([[0.5]], [[1.0]], 3)
+    twin = LtvModel.constant([[0.5]], [[1.0]], 3)
+    dataset = TrajectoryDataset.build(1, 1, [([0.0, 1.0, 0.5, 0.2], [1.0, 0.0, 0.0])])
+    schedule = LambdaSchedule.per_instant([1.0, 2.0])
+    assert len({model, dataset, schedule}) == 3
+    assert model == model
+    assert model != twin
+
+
 # ---------------------------------------------------------------- schedules
 
 

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ltvkit import (LambdaSchedule, LtvModel, NoiseConfig, SingularBlock, SmdConfig,
-                    Trajectory, TrajectoryDataset, assemble_stacked, cosmic_solve,
-                    covariance_sufficiency, estimation_error, generate_dataset, oracle_solve,
-                    prediction_error, predicted_multiply_count, simulate, smd_model)
+                    SufficiencyReport, Trajectory, TrajectoryDataset, assemble_stacked,
+                    cosmic_solve, covariance_sufficiency, estimation_error, generate_dataset,
+                    oracle_solve, prediction_error, predicted_multiply_count, simulate, smd_model)
 
 from _cases import (confined_dataset, drifting_plant, ill_scaled_dataset, random_dataset, tracing,
                     wide_dataset)
@@ -195,6 +197,13 @@ def test_report_serialization():
     assert out["sigma"] == [[0.5, 0.0], [0.0, 0.5]]
     assert set(out) == {"sufficient", "min_eigenvalue", "scaled_min_eigenvalue", "rank",
                         "tolerance", "sigma"}
+
+
+def test_report_keys_are_the_declared_fields_in_order():
+    keys = list(covariance_sufficiency(one_hot_dataset()).to_dict())
+    assert keys == [f.name for f in dataclasses.fields(SufficiencyReport)]
+    assert keys == ["sufficient", "min_eigenvalue", "scaled_min_eigenvalue", "rank",
+                    "tolerance", "sigma"]
 
 
 # ---------------------------------------------------------------- counting

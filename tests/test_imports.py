@@ -33,3 +33,16 @@ def test_the_rule_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_package_exports_exactly_the_modules_public_names():
+    import ltvkit
+    from ltvkit import control, core, diagnostics, sim, solvers
+
+    modules = (core, sim, diagnostics, solvers, control)
+    public = {name for module in modules for name in module.__all__}
+    assert len(set(ltvkit.__all__)) == len(ltvkit.__all__)
+    assert set(ltvkit.__all__) == public | {"__version__"}
+    for module in (ltvkit, *modules):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ltvkit import (LambdaSchedule, LtvModel, NoiseConfig, SingularBlock,
-                    SizeGuard, SmdConfig, SolveOptions, TrajectoryDataset,
+                    SizeGuard, SmdConfig, SolveOptions, SolveReport, TrajectoryDataset,
                     assemble_stacked, build_system, cosmic_solve, cost,
                     covariance_sufficiency, generate_dataset,
                     gradient, oracle_solve, predicted_multiply_count, sbcd_solve, smd_model,
@@ -600,6 +601,14 @@ def test_report_serialization():
     assert set(out) == {"final_cost", "gradient_norm", "multiply_count",
                         "multiply_forward", "multiply_backward", "elapsed",
                         "iterations", "preconditioned", "converged"}
+
+
+def test_report_keys_are_the_declared_fields_in_order():
+    data, sched = hand_instance()
+    keys = list(cosmic_solve(data, sched).to_dict())
+    assert keys == [f.name for f in dataclasses.fields(SolveReport) if f.name != "model"]
+    assert keys == ["final_cost", "gradient_norm", "multiply_count", "multiply_forward",
+                    "multiply_backward", "elapsed", "iterations", "preconditioned", "converged"]
 
 
 # ---------------------------------------------------------------- coordinate descent
