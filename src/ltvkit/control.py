@@ -321,7 +321,9 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
 
     The plant steps with ``sim._step`` over the same per-instant views as
     ``simulate``, so ``simulate(plant, x0, result.inputs)`` reproduces
-    ``result.states`` bit for bit.
+    ``result.states`` bit for bit.  Each input is written straight into its
+    row of the result, and each state into the next row, from the row the
+    previous step wrote.
     """
     n, p, q = plant.N, plant.p, plant.q
     if gains.K.shape != (n, q, p):
@@ -342,18 +344,20 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
         noise_rows = np.random.default_rng(noise.seed).normal(0.0, noise.sigma, size=(n, p))
     ref_rows = repeat(None) if reference is None else ref
     # u = -(x - r) K^T = (x - r) (-K)^T exactly.  K is negated once, in its
-    # own memory layout, so np.dot gets each K(k)^T as the same strided view.
+    # own memory layout, so each product gets K(k)^T as the same strided view.
     neg_kt = np.negative(gains.K).mT
     states = np.empty((n + 1, 1, p))
     inputs = np.empty((n, 1, q))
     states[0] = x0
-    for x, w, r, kt, u, a_t, b_t, nxt in zip(states[:-1], noise_rows, ref_rows, neg_kt, inputs,
-                                             plant.C[:, :p], plant.C[:, p:], states[1:]):
+    x, scratch = states[0], np.empty((1, p))
+    for w, r, kt, u, a_t, b_t, nxt in zip(noise_rows, ref_rows, neg_kt, inputs,
+                                          plant.C[:, :p], plant.C[:, p:], states[1:]):
         error = x if w is None else x + w
         if r is not None:
             error = error - r
-        np.dot(error, kt, out=u)
-        _step(x, u, a_t, b_t, nxt)
+        error.dot(kt, u)
+        _step(x, u, a_t, b_t, nxt, scratch)
+        x = nxt
     states, inputs = states.reshape(n + 1, p), inputs.reshape(n, q)
     pos = position_coordinates(p)
     errors = np.linalg.norm(states[:, pos] - ref[:, pos], axis=1)

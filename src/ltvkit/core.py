@@ -159,7 +159,8 @@ def _finite(name: str, value, nonnegative: bool = False, positive: bool = False)
 def _of_type(name: str, value, cls):
     """``value`` if it is an instance of ``cls``; anything else raises ValueError."""
     if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {value!r}")
     return value
 
 

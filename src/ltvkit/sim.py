@@ -9,7 +9,9 @@ Simulation steps all trajectories of a dataset together, one instant at a
 time, with the states as rows: x(k+1)^T = x(k)^T A(k)^T + u(k)^T B(k)^T.
 The loop walks views made once before it starts: the model's blocks
 C(k)[:p] = A(k)^T and C(k)[p:] = B(k)^T, and the rows of the state and
-input buffers, storing each step in place.  The closed-loop rollout in
+input buffers.  Each step writes its two products into the next state row
+and one scratch row allocated with the buffers, then adds them in place,
+and the next step reads the row it wrote.  The closed-loop rollout in
 ``control`` walks the same views and takes the same ``_step``, so the two
 agree bit for bit, which an associative scan, rounding differently, would
 not give.
@@ -24,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (LtvModel, SolverError, TrajectoryDataset, _array, _dataclass_record,
-                   _finite, _flag, _frozen_array, _integer, _require_finite)
+                   _finite, _flag, _frozen_array, _integer, _of_type, _require_finite)
 
 Array = np.ndarray
 
@@ -143,13 +145,18 @@ def smd_model(config: SmdConfig) -> LtvModel:
     return LtvModel.from_blocks(phi[:, :2, :2], phi[:, :2, 2:])
 
 
-def _step(x: Array, u: Array, a_t: Array, b_t: Array, out: Array) -> None:
+def _step(x: Array, u: Array, a_t: Array, b_t: Array, out: Array, scratch: Array) -> None:
     """Store x A^T + u B^T in ``out``, for rows x and u and a_t = A^T, b_t = B^T.
 
-    The one step of ``_simulate_batch`` and of ``closed_loop_rollout``.
+    The one step of ``_simulate_batch`` and of ``closed_loop_rollout``;
+    ``scratch`` is a row buffer shaped like ``out`` that holds u B^T.
     """
-    # np.dot rather than @: on blocks this small its per-call overhead is lower.
-    np.add(np.dot(x, a_t), np.dot(u, b_t), out=out)
+    # ndarray.dot into given rows skips np.dot's array-function dispatch and
+    # allocates no result, yet runs the same product routine: every state
+    # stays bitwise what np.add(np.dot(x, a_t), np.dot(u, b_t)) gives.
+    x.dot(a_t, out)
+    u.dot(b_t, scratch)
+    np.add(out, scratch, out)
 
 
 def _simulate_batch(model: LtvModel, x0: Array, inputs: Array) -> Array:
@@ -157,9 +164,10 @@ def _simulate_batch(model: LtvModel, x0: Array, inputs: Array) -> Array:
     p = model.p
     states = np.empty((model.N + 1,) + x0.shape)
     states[0] = x0
-    for x, u, a_t, b_t, nxt in zip(states[:-1], inputs, model.C[:, :p], model.C[:, p:],
-                                   states[1:]):
-        _step(x, u, a_t, b_t, nxt)
+    x, scratch = states[0], np.empty(x0.shape)
+    for u, a_t, b_t, nxt in zip(inputs, model.C[:, :p], model.C[:, p:], states[1:]):
+        _step(x, u, a_t, b_t, nxt, scratch)
+        x = nxt
     return states
 
 
@@ -200,11 +208,17 @@ def generate_dataset(model: LtvModel, L: int, excitation: Optional[ExcitationSpe
     affect the result.  All L trajectories are then stepped together, one
     instant at a time.  Noise is added to the recorded states only, the
     underlying simulation stays exact.  A simulation that overflows float64
-    raises SolverError naming the first instant whose state is not finite.
+    raises SolverError naming the first instant whose state is not finite;
+    an excitation or noise that is not an ExcitationSpec or a NoiseConfig
+    (None gives the default or no noise) raises ValueError.
     """
     _integer("seed", seed, 0)
     _integer("L (trajectory count)", L, 1)
-    excitation = excitation or ExcitationSpec()
+    if excitation is None:
+        excitation = ExcitationSpec()
+    _of_type("excitation", excitation, ExcitationSpec)
+    if noise is not None:
+        _of_type("noise", noise, NoiseConfig)
     x0 = np.empty((L, model.p))
     inputs = np.empty((model.N, L, model.q))
     for ell in range(L):

@@ -153,6 +153,17 @@ def generate_dataset_loop(model, L, excitation=None, noise=None, seed=0):
     return TrajectoryDataset.build(model.p, model.q, pairs)
 
 
+def simulate_rows(model, x0, inputs):
+    """Reference batch simulation: states (N+1, L, p) from x0 (L, p) and
+    inputs (N, L, q), stepped one instant at a time as
+    np.add(np.dot(x, A(k).T), np.dot(u, B(k).T)) on freshly allocated rows."""
+    states = np.empty((model.N + 1,) + x0.shape)
+    states[0] = x0
+    for k in range(model.N):
+        states[k + 1] = np.add(np.dot(states[k], model.A(k).T), np.dot(inputs[k], model.B(k).T))
+    return states
+
+
 def relative_gap(x, ref):
     """Largest per-instant relative Frobenius distance of a block stack from ``ref``."""
     err = np.linalg.norm(x - ref, axis=(1, 2))

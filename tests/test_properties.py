@@ -15,14 +15,17 @@ from 1e-3 to 1e3, checked against the step-by-step Riccati recursion to a
 tolerance scaled by the conditioning of the two routes (see the test).
 The rollouts run random drifting plants with N from 1 to 60, p from 1 to
 6 and q from 0 to 3 under random gains, with and without measurement
-noise and a reference, and are replayed through ``simulate``.  The JSON loaders
-get records whose keys are their own and whose values are mostly plausible,
-otherwise any JSON value.  Every numeric or object-valued setting of the
-value objects, their builders, the solvers and the rollout gets bools,
-numeric strings, NaN, infinities and values outside its range or of another
-type, and every flag gets values that are not booleans; a last test fails
-when a setting is added that none of these cases, nor the table of the
-remaining ones, covers.
+noise and a reference, and are replayed through ``simulate``.  The
+simulation step is checked bitwise against the per-instant formula on
+plants with N from 1 to 40, p from 1 to 4, q from 0 to 3 and batches of 1
+to 5 trajectories.  The JSON loaders get records whose keys are their own
+and whose values are mostly plausible, otherwise any JSON value.  Every
+numeric or object-valued setting of the value objects, their builders, the
+solvers, the rollout and the dataset generator gets bools, numeric
+strings, NaN, infinities and values outside its range or of another type,
+and every flag gets values that are not booleans; a last test fails when a
+setting is added that none of these cases, nor the table of the remaining
+ones, covers.
 Hypothesis runs derandomized and without an example database, so every
 run checks the same examples.
 """
@@ -41,11 +44,13 @@ from hypothesis import strategies as st
 from ltvkit import (ExcitationSpec, GainSchedule, LambdaSchedule, LqrWeights, LtvModel,
                     NoiseConfig, SmdConfig, SolveOptions, StackedData, Trajectory,
                     TrajectoryDataset, assemble_stacked, closed_loop_rollout, cosmic_solve,
-                    covariance_sufficiency, lqr_synthesize, oracle_solve, sbcd_solve, simulate)
+                    covariance_sufficiency, generate_dataset, lqr_synthesize, oracle_solve,
+                    sbcd_solve, simulate)
 from ltvkit.cli import BenchSpec, SweepSpec
+from ltvkit.sim import _simulate_batch
 
 from _cases import (dense_reference_solution, drifting_plant, random_dataset, relative_gap,
-                    riccati_loop)
+                    riccati_loop, simulate_rows)
 
 _EDGES = sorted({n for k in range(1, 7) for n in (2**k - 1, 2**k, 2**k + 1) if 2 <= n <= 70})
 
@@ -206,6 +211,41 @@ def test_rollout_replays_through_simulate_bit_for_bit(case):
         gap = np.linalg.norm(result.inputs[k] - -gains.K[k] @ error)
         norm_k = np.linalg.norm(gains.K[k], 2) if plant.q else 0.0
         assert gap <= 4 * eps * norm_k * np.linalg.norm(error)
+
+
+@st.composite
+def steps(draw):
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 4))
+    q = draw(st.integers(0, 3))
+    ell = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plant = drifting_plant(rng, p, q, n, spread=draw(st.floats(0.1, 1.5)))
+    gains = GainSchedule(K=rng.normal(size=(n, q, p)))
+    reference = rng.normal(size=(n + 1, p)) if draw(st.booleans()) else None
+    noise = (NoiseConfig(sigma=draw(st.floats(1e-3, 1.0)), seed=draw(st.integers(0, 2**16)))
+             if draw(st.booleans()) else None)
+    return plant, rng.normal(size=(ell, p)), rng.normal(size=(n, ell, q)), gains, reference, noise
+
+
+@_SETTINGS
+@given(steps())
+def test_simulation_steps_bitwise_as_the_per_instant_formula(case):
+    """The batch simulation of L trajectories, ``simulate`` and the
+    rollout's states are bitwise those of np.add(np.dot(x, A(k).T),
+    np.dot(u, B(k).T)) stepped one instant at a time on the same rows, and
+    the rollout replays through ``simulate``."""
+    plant, starts, inputs, gains, reference, noise = case
+    assert np.array_equal(_simulate_batch(plant, starts, inputs),
+                          simulate_rows(plant, starts, inputs))
+    for x0, u in zip(starts, inputs.transpose(1, 0, 2)):
+        assert np.array_equal(simulate(plant, x0, u),
+                              simulate_rows(plant, x0[None], u[:, None])[:, 0])
+    x0 = starts[0]
+    result = closed_loop_rollout(plant, gains, reference=reference, x0=x0, noise=noise)
+    replayed = simulate(plant, x0, result.inputs)
+    assert np.array_equal(replayed, result.states)
+    assert np.array_equal(simulate_rows(plant, x0[None], result.inputs[:, None])[:, 0], replayed)
 
 
 # JSON values of every kind: NaN and infinities, integers beyond float range,
@@ -383,6 +423,9 @@ _SHARED_RULES = [
            lambda v: closed_loop_rollout(_HAND_PLANT, _HAND_GAINS, x0=[v]), "initial state"),
     _entry("closed_loop_rollout.noise",
            lambda v: closed_loop_rollout(_HAND_PLANT, _HAND_GAINS, noise=v), "noise", _OTHER_TYPE),
+    *_fields(lambda **kwargs: generate_dataset(_HAND_PLANT, 1, **kwargs), {},
+             [("excitation", "excitation", _OTHER_TYPE), ("noise", "noise", _OTHER_TYPE),
+              ("seed", "seed", _below(0))], name="generate_dataset"),
 ]
 
 _NUMERIC_STRINGS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -394,10 +437,10 @@ _NUMERIC_STRINGS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
 @given(data=st.data())
 def test_every_setting_refuses_what_the_shared_rules_refuse(build, needle, out_of_range, data):
     """Each numeric or object-valued setting of the value objects, the
-    solvers and the rollout refuses a bool, a numeric string, NaN, both
-    infinities and a value outside its range or of another type with a
-    ValueError whose message starts with its name; a list or an array gets
-    the value as one of its entries."""
+    solvers, the rollout and the dataset generator refuses a bool, a
+    numeric string, NaN, both infinities and a value outside its range or of
+    another type with a ValueError whose message starts with its name; a
+    list or an array gets the value as one of its entries."""
     for value in (data.draw(st.booleans()), data.draw(_NUMERIC_STRINGS), math.nan, math.inf,
                   -math.inf, data.draw(out_of_range)):
         with pytest.raises(ValueError, match=f"^{re.escape(needle)}"):
@@ -436,15 +479,16 @@ _OTHER_SETTINGS = {
 def test_every_setting_is_checked_by_a_named_test():
     """Every field of the settings dataclasses that a caller can pass (a
     non-init field, such as a dataset's ``samples``, is derived) and every
-    keyword parameter of the solvers and the rollout is a rule or flag case
-    above, each of which refuses a string, or is in ``_OTHER_SETTINGS`` with
-    a test that exists."""
+    keyword parameter of the solvers, the rollout and the dataset generator
+    is a rule or flag case above, each of which refuses a string, or is in
+    ``_OTHER_SETTINGS`` with a test that exists."""
     settings_classes = (LtvModel, TrajectoryDataset, GainSchedule, LqrWeights, LambdaSchedule,
                         SmdConfig, NoiseConfig, ExcitationSpec, BenchSpec, SweepSpec,
                         SolveOptions)
     names = [f"{cls.__name__}.{f.name}" for cls in settings_classes
              for f in dataclasses.fields(cls) if f.init]
-    names += [f"{fn.__name__}.{name}" for fn in (sbcd_solve, oracle_solve, closed_loop_rollout)
+    names += [f"{fn.__name__}.{name}"
+              for fn in (sbcd_solve, oracle_solve, closed_loop_rollout, generate_dataset)
               for name, param in inspect.signature(fn).parameters.items()
               if param.default is not inspect.Parameter.empty]
     cases = {case.id: case.values[:2] for case in _SHARED_RULES + _FLAG_RULES}

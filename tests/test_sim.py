@@ -131,6 +131,21 @@ def test_generation_rejects_ill_typed_counts_and_negative_seeds():
     assert generate_dataset(model, np.int64(2), seed=np.int64(0)).L == 2
 
 
+def test_generation_refuses_mistyped_excitation_and_noise():
+    """A record, a number or an empty record where an ExcitationSpec or a
+    NoiseConfig belongs is refused with ValueError before any simulation,
+    rather than failing on a missing attribute or standing for the default."""
+    model = smd_model(SmdConfig(N=10))
+    for bad in ({"x0": "uniform"}, {}, 0.1, "white"):
+        with pytest.raises(ValueError, match="^excitation must be an ExcitationSpec, got "):
+            generate_dataset(model, 2, excitation=bad)
+    for bad in ({"sigma": 0.1}, {}, 0.1, 0):
+        with pytest.raises(ValueError, match="^noise must be a NoiseConfig, got "):
+            generate_dataset(model, 2, noise=bad)
+    default = generate_dataset(model, 2, excitation=None, noise=None)
+    assert_same_dataset(default, generate_dataset(model, 2, excitation=ExcitationSpec()))
+
+
 def test_excitation_rejects_bad_scales_and_empty_frequencies():
     for name in ("x0_scale", "input_scale"):
         for bad in (-1.0, -1e-300, float("nan"), float("inf")):
