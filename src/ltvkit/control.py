@@ -317,13 +317,16 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
     reference defaults to zero, making this a regulation run.  Tracking
     errors are the Euclidean deviations of the position coordinates from
     the reference at every instant.  A non-finite initial state or
-    reference raises ValueError.
+    reference raises ValueError; a closed loop that overflows float64
+    raises SolverError naming the first instant whose state, input or
+    tracking error is not finite.
 
     The plant steps with ``sim._step`` over the same per-instant views as
     ``simulate``, so ``simulate(plant, x0, result.inputs)`` reproduces
     ``result.states`` bit for bit.  Each input is written straight into its
     row of the result, and each state into the next row, from the row the
-    previous step wrote.
+    previous step wrote; a measured error that differs from the state is
+    written into one row allocated before the loop.
     """
     n, p, q = plant.N, plant.p, plant.q
     if gains.K.shape != (n, q, p):
@@ -349,28 +352,37 @@ def closed_loop_rollout(plant: LtvModel, gains: GainSchedule, reference=None,
     states = np.empty((n + 1, 1, p))
     inputs = np.empty((n, 1, q))
     states[0] = x0
-    x, scratch = states[0], np.empty((1, p))
-    for w, r, kt, u, a_t, b_t, nxt in zip(noise_rows, ref_rows, neg_kt, inputs,
-                                          plant.C[:, :p], plant.C[:, p:], states[1:]):
-        error = x if w is None else x + w
-        if r is not None:
-            error = error - r
-        error.dot(kt, u)
-        _step(x, u, a_t, b_t, nxt, scratch)
-        x = nxt
-    states, inputs = states.reshape(n + 1, p), inputs.reshape(n, q)
+    x, scratch, measured = states[0], np.empty((1, p)), np.empty((1, p))
     pos = position_coordinates(p)
-    errors = np.linalg.norm(states[:, pos] - ref[:, pos], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, r, kt, u, a_t, b_t, nxt in zip(noise_rows, ref_rows, neg_kt, inputs,
+                                              plant.C[:, :p], plant.C[:, p:], states[1:]):
+            error = x if w is None else np.add(x, w, measured)
+            if r is not None:
+                error = np.subtract(error, r, measured)
+            error.dot(kt, u)
+            _step(x, u, a_t, b_t, nxt, scratch)
+            x = nxt
+        states, inputs = states.reshape(n + 1, p), inputs.reshape(n, q)
+        errors = np.linalg.norm(states[:, pos] - ref[:, pos], axis=1)
+    _require_finite("the rollout overflows at instant {0}", states, inputs, errors,
+                    error=SolverError)
     return RolloutResult(states=states, inputs=inputs, tracking_errors=errors)
 
 
 def tracking_stats(errors) -> TrackingStats:
-    """Mean, population standard deviation, and sum of squares of an error sequence."""
+    """Mean, population standard deviation, and sum of squares of an error sequence.
+
+    A non-finite entry raises ValueError naming its instant; statistics
+    that overflow float64 raise SolverError.
+    """
     e = _frozen_array(errors, "tracking errors")
     if e.ndim != 1 or e.size == 0:
         raise ValueError("tracking statistics need a nonempty error vector")
-    return TrackingStats(
-        mean=float(e.mean()),
-        stddev=float(e.std()),
-        sum_sq=float(np.sum(e * e)),
-    )
+    _require_finite("tracking error at instant {0} is not finite", e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = TrackingStats(mean=float(e.mean()), stddev=float(e.std()),
+                              sum_sq=float(np.sum(e * e)))
+    _require_finite("the rollout's tracking statistics overflow",
+                    stats.mean, stats.stddev, stats.sum_sq, error=SolverError)
+    return stats

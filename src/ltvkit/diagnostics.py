@@ -11,14 +11,15 @@ and the error metrics used for validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (LtvModel, Trajectory, TrajectoryDataset, _finite, _integer, _require_finite,
-                   assemble_stacked)
-from .sim import simulate
+from .core import (LtvModel, SolverError, Trajectory, TrajectoryDataset, _finite, _integer,
+                   _require_finite, assemble_stacked)
+from .sim import _simulate_batch
 
 Array = np.ndarray
 
@@ -125,13 +126,25 @@ def predicted_multiply_count(N: int, p: int, q: int) -> MultiplyCount:
 
 
 def estimation_error(estimated: LtvModel, truth: LtvModel) -> float:
-    """Frobenius norm of the stacked coefficient difference."""
+    """Frobenius norm of the stacked coefficient difference.
+
+    A norm that overflows float64 raises SolverError naming the first
+    instant whose block difference has no finite norm, or, when every
+    block's has one, saying that their sum overflows.
+    """
     if (estimated.N, estimated.p, estimated.q) != (truth.N, truth.p, truth.q):
         raise ValueError(
             f"models disagree on dimensions: "
             f"({estimated.N}, {estimated.p}, {estimated.q}) vs ({truth.N}, {truth.p}, {truth.q})"
         )
-    return float(np.linalg.norm(estimated.C - truth.C))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = estimated.C - truth.C
+        error = float(np.linalg.norm(diff))
+        if not math.isfinite(error):  # only a failure pays for the per-block norms
+            _require_finite("the estimation error overflows at instant {0}",
+                            np.linalg.norm(diff, axis=(1, 2)), error=SolverError)
+            raise SolverError("the estimation error overflows")
+    return error
 
 
 def prediction_error(model: LtvModel, trajectory: Trajectory, mode: str = "one-step") -> Array:
@@ -139,8 +152,12 @@ def prediction_error(model: LtvModel, trajectory: Trajectory, mode: str = "one-s
 
     In "one-step" mode each prediction starts from the recorded state
     x(k); in "rollout" mode the model propagates its own prediction from
-    x(0) by ``simulate``.  Returns the N Euclidean errors against x(k+1).
+    x(0), stepping as ``simulate`` does.  Returns the N Euclidean errors
+    against x(k+1); an error that overflows float64 raises SolverError
+    naming its instant k.
     """
+    if mode not in ("one-step", "rollout"):
+        raise ValueError(f"mode must be one-step or rollout, got {mode!r}")
     states = trajectory.states
     inputs = trajectory.inputs
     n = inputs.shape[0]
@@ -151,10 +168,11 @@ def prediction_error(model: LtvModel, trajectory: Trajectory, mode: str = "one-s
         )
     if model.N != n:
         raise ValueError(f"model covers {model.N} instants, trajectory has {n}")
-    if mode == "one-step":
-        pred = (model.A_seq @ states[:-1, :, None] + model.B_seq @ inputs[:, :, None])[:, :, 0]
-    elif mode == "rollout":
-        pred = simulate(model, states[0], inputs)[1:]
-    else:
-        raise ValueError(f"mode must be one-step or rollout, got {mode!r}")
-    return np.linalg.norm(pred - states[1:], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "one-step":
+            pred = (model.A_seq @ states[:-1, :, None] + model.B_seq @ inputs[:, :, None])[:, :, 0]
+        else:
+            pred = _simulate_batch(model, states[:1], inputs[:, None])[1:, 0]
+        errors = np.linalg.norm(pred - states[1:], axis=1)
+    _require_finite(f"the {mode} prediction overflows at instant {{0}}", errors, error=SolverError)
+    return errors

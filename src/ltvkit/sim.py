@@ -160,21 +160,29 @@ def _step(x: Array, u: Array, a_t: Array, b_t: Array, out: Array, scratch: Array
 
 
 def _simulate_batch(model: LtvModel, x0: Array, inputs: Array) -> Array:
-    """States (N+1, L, p) from initial states x0 (L, p) and inputs (N, L, q)."""
+    """States (N+1, L, p) from initial states x0 (L, p) and inputs (N, L, q).
+
+    A state that leaves the float range runs on through inf and NaN without
+    numpy's warnings; each caller tests the states once and refuses them.
+    """
     p = model.p
     states = np.empty((model.N + 1,) + x0.shape)
     states[0] = x0
     x, scratch = states[0], np.empty(x0.shape)
-    for u, a_t, b_t, nxt in zip(inputs, model.C[:, :p], model.C[:, p:], states[1:]):
-        _step(x, u, a_t, b_t, nxt, scratch)
-        x = nxt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u, a_t, b_t, nxt in zip(inputs, model.C[:, :p], model.C[:, p:], states[1:]):
+            _step(x, u, a_t, b_t, nxt, scratch)
+            x = nxt
     return states
 
 
 def simulate(model: LtvModel, x0, inputs) -> Array:
     """Roll the model forward from x0 under the given input sequence.
 
-    Returns the N+1 visited states as rows, starting with x0.
+    Returns the N+1 visited states as rows, starting with x0.  A non-finite
+    x0 or input raises ValueError naming it; a simulation that overflows
+    float64 raises SolverError naming the first instant whose state is not
+    finite.
     """
     x0 = _frozen_array(x0, "initial state entries")
     u = _frozen_array(inputs, "inputs")
@@ -184,7 +192,11 @@ def simulate(model: LtvModel, x0, inputs) -> Array:
         raise ValueError(f"initial state has shape {x0.shape}, expected ({model.p},)")
     if u.shape != (model.N, model.q):
         raise ValueError(f"inputs have shape {u.shape}, expected ({model.N}, {model.q})")
-    return _simulate_batch(model, x0[None], u[:, None])[:, 0]
+    _require_finite(f"initial state {x0.tolist()} is not finite", x0)
+    _require_finite("inputs at instant {0} are not finite", u)
+    states = _simulate_batch(model, x0[None], u[:, None])[:, 0]
+    _require_finite("the simulation overflows at instant {0}", states, error=SolverError)
+    return states
 
 
 def _draw_inputs(spec: ExcitationSpec, rng: np.random.Generator, n: int, q: int) -> Array:
@@ -209,11 +221,14 @@ def generate_dataset(model: LtvModel, L: int, excitation: Optional[ExcitationSpe
     instant at a time.  Noise is added to the recorded states only, the
     underlying simulation stays exact.  A simulation that overflows float64
     raises SolverError naming the first instant whose state is not finite;
-    an excitation or noise that is not an ExcitationSpec or a NoiseConfig
-    (None gives the default or no noise) raises ValueError.
+    a model of one instant, which gives no dataset, or an excitation or
+    noise that is not an ExcitationSpec or a NoiseConfig (None gives the
+    default or no noise) raises ValueError before anything is simulated.
     """
     _integer("seed", seed, 0)
     _integer("L (trajectory count)", L, 1)
+    if model.N < 2:
+        raise ValueError(f"a dataset needs at least two instants, got a model with N = {model.N}")
     if excitation is None:
         excitation = ExcitationSpec()
     _of_type("excitation", excitation, ExcitationSpec)
@@ -228,8 +243,7 @@ def generate_dataset(model: LtvModel, L: int, excitation: Optional[ExcitationSpe
         else:
             x0[ell] = rng.normal(0.0, excitation.x0_scale, size=model.p)
         inputs[:, ell] = _draw_inputs(excitation, rng, model.N, model.q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        states = _simulate_batch(model, x0, inputs)
+    states = _simulate_batch(model, x0, inputs)
     _require_finite("the simulation overflows at instant {0}", states, error=SolverError)
     if noise is not None and noise.sigma > 0.0:
         for ell in range(L):

@@ -1,13 +1,16 @@
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ltvkit import (LambdaSchedule, LtvModel, NoiseConfig, SingularBlock, SmdConfig,
-                    SufficiencyReport, Trajectory, TrajectoryDataset, assemble_stacked,
-                    cosmic_solve, covariance_sufficiency, estimation_error, generate_dataset,
-                    oracle_solve, prediction_error, predicted_multiply_count, simulate, smd_model)
+from ltvkit import (GainSchedule, LambdaSchedule, LtvModel, NoiseConfig, SingularBlock,
+                    SmdConfig, SolverError, SufficiencyReport, Trajectory, TrajectoryDataset,
+                    assemble_stacked, closed_loop_rollout, cosmic_solve, covariance_sufficiency,
+                    estimation_error, generate_dataset, oracle_solve, prediction_error,
+                    predicted_multiply_count, simulate, smd_model, tracking_stats)
 
 from _cases import (confined_dataset, drifting_plant, ill_scaled_dataset, random_dataset, tracing,
                     wide_dataset)
@@ -324,3 +327,74 @@ def test_prediction_error_validation():
         prediction_error(model, short)
     with pytest.raises(ValueError, match="mode must be"):
         prediction_error(model, good, mode="two-step")
+
+
+# ---------------------------------------------------------------- float range
+
+
+def _overflow_cases():
+    """(call, message) pairs; each call leaves the float range where named.
+
+    ``big`` multiplies the state by 1e200 per instant, so x(2) overflows
+    from x(0) = [1, 0], and the tracking error |x(1)| = 1e200 already
+    squares past it.  ``high`` and ``low`` hold coefficients of +-1e200 from
+    instant 7 on, whose differences and predictions square past the range.
+    ``steep`` multiplies by 1e100: its one-step predictions stay finite,
+    but a rollout's second prediction, 1e200 x(0), does not.  Blocks of
+    1e153 entries have finite norms, while the norm of 40 of them does not.
+    """
+    n = 40
+    big = LtvModel.constant(1e200 * np.eye(2), [[1.0], [1.0]], n)
+    c = np.zeros((n, 3, 2))
+    c[7:] = 1e200
+    high, low = LtvModel(p=2, q=1, N=n, C=c), LtvModel(p=2, q=1, N=n, C=-c)
+    steep = LtvModel.constant(1e100 * np.eye(2), [[0.0], [0.0]], n)
+    rng = np.random.default_rng(3)
+    held_out = Trajectory(states=rng.normal(size=(n + 1, 2)), inputs=rng.normal(size=(n, 1)))
+    idle = GainSchedule(K=np.zeros((n, 1, 2)))
+    wide = LtvModel(p=2, q=1, N=n, C=np.full((n, 3, 2), 1e153))
+    zero = LtvModel(p=2, q=1, N=n, C=np.zeros((n, 3, 2)))
+    return {
+        "simulate": (lambda: simulate(big, [1.0, 0.0], np.zeros(n)),
+                     "the simulation overflows at instant 2"),
+        "closed_loop_rollout": (lambda: closed_loop_rollout(big, idle, x0=[1.0, 0.0]),
+                                "the rollout overflows at instant 1"),
+        "prediction_error-one-step": (lambda: prediction_error(high, held_out),
+                                      "the one-step prediction overflows at instant 7"),
+        "prediction_error-rollout": (lambda: prediction_error(steep, held_out, "rollout"),
+                                     "the rollout prediction overflows at instant 1"),
+        "estimation_error-block": (lambda: estimation_error(high, low),
+                                   "the estimation error overflows at instant 7"),
+        "estimation_error-sum": (lambda: estimation_error(wide, zero),
+                                 "the estimation error overflows"),
+        "tracking_stats": (lambda: tracking_stats(np.full(n, 1e154)),
+                           "the rollout's tracking statistics overflow"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_overflow_cases()))
+def test_each_function_refuses_its_own_overflow_naming_the_instant(name):
+    """A result outside the float range raises SolverError where it is
+    computed, naming the first instant that fails, and no numpy warning
+    escapes on the way."""
+    call, message = _overflow_cases()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_non_finite_arguments_are_refused_as_input_errors():
+    """A NaN initial state or input to ``simulate``, or a NaN error given to
+    ``tracking_stats``, is the caller's input, not an overflow."""
+    model = LtvModel.constant(np.eye(2), [[1.0], [1.0]], 5)
+    inputs = np.zeros(5)
+    inputs[3] = np.nan
+    cases = [(lambda: simulate(model, [np.nan, 0.0], np.zeros(5)),
+              "initial state [nan, 0.0] is not finite"),
+             (lambda: simulate(model, [1.0, 0.0], inputs), "inputs at instant 3 are not finite"),
+             (lambda: tracking_stats([1.0, np.inf, np.nan]),
+              "tracking error at instant 1 is not finite")]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -46,3 +46,14 @@ def test_the_package_exports_exactly_the_modules_public_names():
     for module in (ltvkit, *modules):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_the_cli_leaves_every_overflow_refusal_to_the_library():
+    """Each library function refuses its own result outside the float range,
+    where it computes it; the CLI holds no second copy of such a refusal,
+    neither an ``np.errstate`` block nor a ``_require_finite`` call."""
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "main" in called
+    assert not called & {"errstate", "_require_finite"}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ltvkit import sim
 from ltvkit import (ExcitationSpec, LambdaSchedule, LtvModel, NoiseConfig,
                     SmdConfig, TrajectoryDataset, assemble_stacked,
                     cosmic_solve, covariance_sufficiency, estimation_error,
@@ -144,6 +145,18 @@ def test_generation_refuses_mistyped_excitation_and_noise():
             generate_dataset(model, 2, noise=bad)
     default = generate_dataset(model, 2, excitation=None, noise=None)
     assert_same_dataset(default, generate_dataset(model, 2, excitation=ExcitationSpec()))
+
+
+def test_generation_refuses_a_one_instant_model_before_simulating(monkeypatch):
+    """A model of one instant gives no dataset, which needs two; it is
+    refused with that reason before any trajectory is simulated."""
+    def simulated(*args):
+        raise AssertionError("simulated a model that gives no dataset")
+
+    monkeypatch.setattr(sim, "_simulate_batch", simulated)
+    with pytest.raises(ValueError, match="^a dataset needs at least two instants, "
+                                         "got a model with N = 1$"):
+        generate_dataset(LtvModel.constant([[0.5]], [[1.0]], 1), 2)
 
 
 def test_excitation_rejects_bad_scales_and_empty_frequencies():

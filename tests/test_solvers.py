@@ -550,6 +550,36 @@ def test_narrow_route_factors_and_inverts_like_lapack(m, monkeypatch):
     assert narrow.value.instant == lapack.value.instant == 75
 
 
+def test_a_pivot_exactly_at_the_floor_is_singular():
+    """The pivot test is strict: a pivot whose squared Cholesky diagonal
+    equals the floor times its diagonal entry, to the last bit, is singular,
+    and the same pivot with a coupling 2^-52 smaller is not.  A sound pivot
+    before it in the batch must not be the one named.
+
+    For S = [[1, b], [b, c]] the second diagonal squared is about c - b^2,
+    a multiple of 2^-52 for c and b^2 in [1, 2).  The search walks c over
+    1 + j 2^-52 for a floor * c on that grid, then b around
+    sqrt(c - floor * c), and keeps the first S whose factor, LAPACK's own,
+    ties exactly.
+    """
+    floor = solvers._PIVOT_FLOOR
+    for start in range(0, 2**26, 2**20):
+        c = 1.0 + np.arange(start, start + 2**20) * 2.0**-52
+        tie = floor * c
+        for ck in c[tie == np.round(tie * 2.0**52) * 2.0**-52]:
+            for b in np.sqrt(ck - floor * ck) + np.arange(-3, 4) * 2.0**-52:
+                s = np.array([np.eye(2), [[1.0, b], [b, ck]]])
+                d = np.linalg.cholesky(s)[1, 1, 1]
+                if d * d == floor * ck:
+                    with pytest.raises(SingularBlock) as info:
+                        solvers._invert_pivots(s, [3, 7])
+                    assert info.value.instant == 7
+                    s[1, 0, 1] = s[1, 1, 0] = b - 2.0**-52
+                    solvers._invert_pivots(s, [3, 7])
+                    return
+    pytest.fail("no pivot ties the floor exactly")
+
+
 # ---------------------------------------------------------------- counting
 
 
